@@ -13,8 +13,8 @@ encoding, and extracts the final certificate.
 """
 
 from switchflow import (
+    LocalOptInstance,
     augment,
-    build_instance,
     extract_certificate,
     graph,
     solve_s_arrival,
@@ -25,7 +25,7 @@ from switchflow.local_search import hex_decode, hex_encode
 
 def main() -> None:
     g = graph(2, [1, 1], [1, 1], 0, 1)
-    inst = build_instance(augment(g))
+    inst = LocalOptInstance(augment(g))
     print(
         f"board with {inst.m} vertices; states encode in {inst.total_bits} bits "
         f"({inst.vertex_bits} for the vertex, {inst.field_bits} per slot)"
@@ -71,7 +71,7 @@ def main() -> None:
         )
         # Anyone can re-check the certificate against the board; see
         # the verify-flow subcommand for the file-based version.
-        inst2 = build_instance(augment(instance))
+        inst2 = LocalOptInstance(augment(instance))
         recheck = extract_certificate(
             inst2, walk_localopt(inst2).solution
         )

@@ -11,7 +11,7 @@ The package splits into layers, importable as submodules:
 * :mod:`switchflow.flows` -- switching-flow verification, completion of
   partial flows into certificates, and per-slot bound audits;
 * :mod:`switchflow.local_search` -- the neighborhood/potential pair
-  whose local optima are exactly the certificates, with walkers and
+  whose local optima are exactly the certificates, with the walker and
   certificate extraction;
 * :mod:`switchflow.generate` -- seeded random instances;
 * :mod:`switchflow.suite` -- the end-to-end property suite;
@@ -48,12 +48,9 @@ from .local_search import (
     Certificate,
     LocalOptInstance,
     SearchState,
-    SinkOfPathInstance,
-    build_instance,
     extract_certificate,
     solve_s_arrival,
     walk_localopt,
-    walk_sink_of_path,
 )
 from .reduction import AugmentedInstance, DualityReport, augment, check_duality
 from .simulate import (
@@ -83,11 +80,9 @@ __all__ = [
     "ODD",
     "RunOutcome",
     "SearchState",
-    "SinkOfPathInstance",
     "SwitchGraph",
     "Verdict",
     "augment",
-    "build_instance",
     "check_bounds",
     "check_duality",
     "complete",
@@ -108,5 +103,4 @@ __all__ = [
     "validate",
     "verify",
     "walk_localopt",
-    "walk_sink_of_path",
 ]

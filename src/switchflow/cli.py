@@ -30,6 +30,13 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _read_text(path: str | None) -> str:
     if path is None:
         return sys.stdin.read()
@@ -120,7 +127,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    inst = local_search.build_instance(reduction.augment(g))
+    inst = local_search.LocalOptInstance(reduction.augment(g))
     if args.start == "reset":
         start = inst.reset
     else:
@@ -128,13 +135,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
             start = local_search.hex_decode(inst, args.start)
         except ValueError as e:
             raise _UsageError(f"--start: {e}") from None
-
-    if args.mode == "sink-of-path":
-        result = local_search.walk_sink_of_path(
-            local_search.SinkOfPathInstance(inst, start), budget=args.budget
-        )
-    else:
-        result = local_search.walk_localopt(inst, start, budget=args.budget)
+    result = local_search.walk_localopt(inst, start, budget=args.budget)
 
     lines = []
     if args.trace:
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", parents=[withinput], help="run the token and report the outcome"
     )
-    p.add_argument("--budget", type=int, default=None, help="step cap")
+    p.add_argument("--budget", type=_budget, default=None, help="step cap")
     p.add_argument("--trace", action="store_true", help="emit one line per step")
     p.set_defaults(func=cmd_simulate)
 
@@ -266,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="reset",
         help='"reset" or a hex-encoded state (default: reset)',
     )
-    p.add_argument("--budget", type=int, default=None, help="neighbor-application cap")
+    p.add_argument(
+        "--budget", type=_budget, default=None, help="neighbor-application cap"
+    )
     p.add_argument("--trace", action="store_true", help="emit every visited state")
-    p.add_argument("--mode", choices=("localopt", "sink-of-path"), default="localopt")
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser(

@@ -58,7 +58,7 @@ def slot_of(index: int) -> EdgeSlot:
     return EdgeSlot(index // 2, index % 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwitchGraph:
     """A switch graph plus the origin/destination of the token run.
 
@@ -262,12 +262,16 @@ def serialize(g: SwitchGraph) -> str:
 
 
 def to_dot(g: SwitchGraph) -> str:
-    """DOT export with one edge line per slot, tagged with its parity."""
+    """DOT export with one edge line per slot, tagged with its parity.
+
+    Labels are quoted with backslashes and double quotes escaped, so any
+    label stays inside its node's attribute list."""
     lines = ["digraph switch_graph {"]
     for v in range(g.n):
         attrs = []
         if g.labels is not None:
-            attrs.append(f'label="{g.labels[v]}"')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            attrs.append(f'label="{label}"')
         if v == g.origin:
             attrs.append('role="origin"')
         if v == g.dest:

@@ -21,6 +21,11 @@ a flow to the original destination witnesses that the source run
 terminates, a flow to the fresh sink witnesses that it does not.
 Extracting either solves the search problem outright.
 
+:func:`walk_localopt` checks the start state once with the total
+potential and then steps a mutable flow in O(1) per step: by the
+argument above, every state after a valid one stays valid until it
+reaches a terminal or its next entry would pass the field cap.
+
 States encode to fixed-width bit strings (vertex index, then one
 ``m+1``-bit field per slot), so the pair also exists at the bit level;
 ``neighbor_bits`` and ``potential_bits`` evaluate it there, with the
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import flows as _flows
-from . import simulate as _sim
 from .graphs import SwitchGraph, require_valid
 from .reduction import AugmentedInstance, augment
 
@@ -42,14 +46,14 @@ NON_TERMINATION = "non-termination"
 
 
 class WalkError(RuntimeError):
-    """The walk budget ran out; contradicts the ascent bound, so a bug."""
+    """The walk budget ran out before a local optimum was reached."""
 
 
 class CertificateError(RuntimeError):
     """A claimed local optimum did not have the certified shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchState:
     vertex: int
     flow: tuple[int, ...]
@@ -168,18 +172,6 @@ class LocalOptInstance:
         return 2 * self.m * (1 << self.m) + 2
 
 
-def build_instance(aug: AugmentedInstance) -> LocalOptInstance:
-    return LocalOptInstance(aug)
-
-
-@dataclass(frozen=True)
-class SinkOfPathInstance:
-    """A neighborhood/potential pair plus the start state to iterate from."""
-
-    localopt: LocalOptInstance
-    start: SearchState
-
-
 def walk_localopt(
     inst: LocalOptInstance,
     start: SearchState | None = None,
@@ -188,30 +180,35 @@ def walk_localopt(
     """Iterate the neighbor function until the potential stops rising.
 
     Returns the first state whose potential is at least its neighbor's,
-    plus the number of neighbor applications taken to reach it.
+    plus the number of neighbor applications taken to reach it; raises
+    :class:`WalkError` when that takes more than ``budget`` of them.
     """
+    limit = inst.default_budget() if budget is None else budget
     state = inst.reset if start is None else start
-    if budget is None:
-        budget = inst.default_budget()
-    current = inst.potential(state)
-    for steps in range(budget + 1):
-        nxt = inst.neighbor(state)
-        upcoming = inst.potential(nxt)
-        if current >= upcoming:
-            return WalkResult(state, steps)
-        state, current = nxt, upcoming
-    raise WalkError(
-        f"no local optimum within {budget} steps; "
-        "contradicts the ascent bound and indicates a bug"
-    )
-
-
-def walk_sink_of_path(
-    inst: SinkOfPathInstance, budget: int | None = None
-) -> WalkResult:
-    """Same iteration, anchored at the instance's start state; the step
-    count doubles as the witness that the solution is reachable from it."""
-    return walk_localopt(inst.localopt, inst.start, budget)
+    steps = 0
+    if inst.potential(state) < 0:
+        state, steps = inst.reset, 1
+    v, flow = state.vertex, list(state.flow)
+    even, odd = inst.h.even, inst.h.odd
+    terminals, cap = inst._terminals, inst.max_entry
+    # A valid terminal state resets (potential 0 <= its own), and a step
+    # past the cap leaves the domain (potential -1): either way the
+    # current state is the optimum.
+    while v not in terminals and steps <= limit:
+        slot = 2 * v + flow[2 * v] - flow[2 * v + 1]
+        if flow[slot] >= cap:
+            break
+        flow[slot] += 1
+        v = odd[v] if slot & 1 else even[v]
+        steps += 1
+    if steps > limit:
+        reason = (
+            "contradicts the ascent bound and indicates a bug"
+            if budget is None
+            else "the given budget ran out"
+        )
+        raise WalkError(f"no local optimum within {limit} steps; {reason}")
+    return WalkResult(SearchState(v, tuple(flow)), steps)
 
 
 def extract_certificate(inst: LocalOptInstance, solution: SearchState) -> Certificate:
@@ -245,7 +242,7 @@ def solve_s_arrival(g: SwitchGraph, budget: int | None = None) -> Certificate:
     destination.
     """
     require_valid(g)
-    inst = build_instance(augment(g))
+    inst = LocalOptInstance(augment(g))
     solution, _ = walk_localopt(inst, budget=budget)
     return extract_certificate(inst, solution)
 

@@ -33,8 +33,6 @@ from .generate import GeneratorSpec, generate, instance_stream
 from .graphs import SwitchGraph, serialize
 from .reduction import augment, check_duality
 
-VerifyFn = Callable[..., flows.FlowCheckReport]
-
 FAMILIES = ("duality", "prefix-flows", "completion", "trace-equivalence")
 
 
@@ -105,7 +103,7 @@ def _check_instance(
     g: SwitchGraph,
     rng: random.Random,
     report: CheckReport,
-    verify: VerifyFn,
+    verify: Callable[..., flows.FlowCheckReport],
     cutoffs: int,
 ) -> None:
     aug = augment(g)
@@ -166,7 +164,7 @@ def _check_instance(
     _require(bounds.ok, "completion", f"run profile bound violations: {bounds.violations}")
     report.passed["completion"] += 1
 
-    inst = local_search.build_instance(aug)
+    inst = local_search.LocalOptInstance(aug)
     state = inst.reset
     for t, st in enumerate(states):
         _require(
@@ -209,7 +207,7 @@ def run_checks(
     seed: int,
     *,
     cutoffs_per_instance: int = 3,
-    verify: VerifyFn = flows.verify,
+    verify: Callable[..., flows.FlowCheckReport] = flows.verify,
 ) -> CheckReport:
     """Run the four check families over ``count`` seeded instances.
 

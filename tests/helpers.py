@@ -113,6 +113,29 @@ def relaxed_distances(g: SwitchGraph, dest: int) -> list[int | None]:
     return [None if d == inf else int(d) for d in dist]
 
 
+def reference_walk(inst, start=None, budget=None):
+    """Walk oracle: iterate the total neighbor/potential pair state by
+    state, re-verifying every flow, until the potential stops rising.
+
+    Returns ``(solution, steps)`` and raises ``WalkError`` when no state
+    among the first ``budget + 1`` is a local optimum, exactly the
+    contract of ``walk_localopt``.
+    """
+    from switchflow.local_search import WalkError
+
+    state = inst.reset if start is None else start
+    if budget is None:
+        budget = inst.default_budget()
+    current = inst.potential(state)
+    for steps in range(budget + 1):
+        nxt = inst.neighbor(state)
+        upcoming = inst.potential(nxt)
+        if current >= upcoming:
+            return state, steps
+        state, current = nxt, upcoming
+    raise WalkError(f"no local optimum within {budget} steps")
+
+
 def all_two_vertex_graphs() -> list[SwitchGraph]:
     """Every successor map over 2 vertices, origin 0, dest 1."""
     out = []

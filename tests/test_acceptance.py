@@ -23,12 +23,10 @@ from switchflow.local_search import (
     INVALID_STATE,
     NON_TERMINATION,
     TERMINATION,
+    LocalOptInstance,
     SearchState,
-    SinkOfPathInstance,
-    build_instance,
     solve_s_arrival,
     walk_localopt,
-    walk_sink_of_path,
 )
 from switchflow.reduction import AugmentedInstance, augment, check_duality
 from switchflow.simulate import Verdict, decide_arrival, run, run_prefix
@@ -168,7 +166,7 @@ def test_criterion_5_walk_equals_simulation():
     compared = 0
     for g in INSTANCES:
         aug = augment(g)
-        inst = build_instance(aug)
+        inst = LocalOptInstance(aug)
         states = prefix_states(aug.h, aug.terminals)
         state = inst.reset
         for t, expected in enumerate(states):
@@ -197,7 +195,7 @@ def _one_vertex_board_instance():
     # self-looped destination.
     h = SwitchGraph(n=3, even=(0, 0, 2), odd=(0, 0, 2), origin=1, dest=0)
     aug = AugmentedInstance(h=h, o_bar=1, d_bar=2, x_d=frozenset(), source_dest=0)
-    return build_instance(aug)
+    return LocalOptInstance(aug)
 
 
 def _oracle_valid_m3(v: int, flow: tuple[int, ...]) -> bool:
@@ -275,7 +273,7 @@ def test_criterion_6_local_optimum_characterization():
     sampled = 0
     for gi, g in enumerate(all_two_vertex_graphs()):
         aug = augment(g)
-        inst4 = build_instance(aug)
+        inst4 = LocalOptInstance(aug)
         assert inst4.total_bits == 42
         board_terminals = (aug.source_dest, aug.d_bar)
         rng = random.Random(ACCEPTANCE_SEED * 100 + gi)
@@ -334,13 +332,21 @@ def test_criterion_7_end_to_end_certificates(tmp_path):
 def test_criterion_8_anchored_walk_consistency():
     for g in INSTANCES:
         aug = augment(g)
-        inst = build_instance(aug)
+        inst = LocalOptInstance(aug)
         plain = walk_localopt(inst)
-        anchored = walk_sink_of_path(SinkOfPathInstance(inst, inst.reset))
+        # Anchor at an explicitly built reset state, then midway along
+        # the run: both must land on the plain walk's solution, with the
+        # step count measuring the remaining trace.
+        anchored = walk_localopt(inst, SearchState(aug.o_bar, (0,) * (2 * aug.h.n)))
         assert anchored == plain, serialize(g)
-        trace_length = len(prefix_states(aug.h, aug.terminals)) - 1
+        states = prefix_states(aug.h, aug.terminals)
+        trace_length = len(states) - 1
         assert anchored.steps == trace_length, serialize(g)
+        mid = states[trace_length // 2]
+        midway = walk_localopt(inst, SearchState(mid.vertex, mid.profile))
+        assert midway == (plain.solution, trace_length - trace_length // 2), serialize(g)
     return (
-        "anchored walks return the plain walk's solution and step count "
-        f"on {len(INSTANCES)} instances"
+        "walks anchored at the reset state and midway along the run return "
+        f"the plain walk's solution and the remaining trace length on "
+        f"{len(INSTANCES)} instances"
     )

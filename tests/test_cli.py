@@ -180,10 +180,33 @@ def test_walk_accepts_a_hex_start(capsys, t1_file):
     assert json.loads(out)["steps"] == 2
 
 
-def test_walk_sink_of_path_mode_agrees(capsys, t1_file):
+def test_walk_from_an_explicit_reset_start_agrees(capsys, t1_file):
     plain = run_cli(capsys, "walk", "--input", t1_file)
-    anchored = run_cli(capsys, "walk", "--input", t1_file, "--mode", "sink-of-path")
+    anchored = run_cli(capsys, "walk", "--input", t1_file, "--start", "20000000000")
     assert anchored == plain
+    assert run_cli(capsys, "walk", "--input", t1_file, "--mode", "localopt")[0] == 2
+
+
+@pytest.mark.parametrize("command", ["walk", "simulate"])
+def test_negative_budgets_are_usage_errors(capsys, t1_file, command):
+    code, out, err = run_cli(capsys, command, "--input", t1_file, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert "--budget" in err and "nonnegative" in err
+
+
+def test_walk_budget_zero_is_valid(capsys, t1_file):
+    code, out, _ = run_cli(
+        capsys, "walk", "--input", t1_file, "--budget", "0", "--start", "10800008000"
+    )
+    assert code == 0
+    assert json.loads(out)["steps"] == 0
+
+
+def test_walk_reports_an_exhausted_budget(capsys, t1_file):
+    code, out, err = run_cli(capsys, "walk", "--input", t1_file, "--budget", "1")
+    assert (code, out) == (1, "")
+    assert "no local optimum within 1 steps; the given budget ran out" in err
+    assert "bug" not in err
 
 
 def test_walk_rejects_bad_hex(capsys, t1_file):

@@ -216,6 +216,18 @@ def test_dot_export_has_one_line_per_slot():
         assert len(edge_lines) == g.slot_count
 
 
+def test_dot_export_escapes_labels():
+    g = graph(2, [1, 1], [1, 1], 0, 1, labels=['a"];evil', "back\\slash"])
+    lines = to_dot(g).splitlines()
+    node_lines = [l for l in lines[1:-1] if "->" not in l]
+    assert node_lines == [
+        '  0 [label="a\\"];evil", role="origin"];',
+        '  1 [label="back\\\\slash", role="dest"];',
+    ]
+    for line in lines:
+        assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0, line
+
+
 def test_dot_export_marks_the_route():
     text = to_dot(T1)
     assert 'role="origin"' in text

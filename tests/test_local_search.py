@@ -1,5 +1,5 @@
-"""The neighborhood/potential pair, bit-level codecs, walkers, and
-certificate extraction."""
+"""The neighborhood/potential pair, bit-level codecs, the walker (checked
+against the neighbor/potential iteration), and certificate extraction."""
 
 from __future__ import annotations
 
@@ -14,11 +14,10 @@ from switchflow.local_search import (
     NON_TERMINATION,
     TERMINATION,
     CertificateError,
+    LocalOptInstance,
     SearchState,
-    SinkOfPathInstance,
     WalkError,
     WalkResult,
-    build_instance,
     certificate_doc,
     extract_certificate,
     hex_decode,
@@ -26,16 +25,24 @@ from switchflow.local_search import (
     solve_s_arrival,
     state_doc,
     walk_localopt,
-    walk_sink_of_path,
 )
-from switchflow.reduction import augment
+from switchflow.graphs import SwitchGraph
+from switchflow.reduction import AugmentedInstance, augment
 from switchflow.simulate import decide_arrival
 from switchflow.suite import prefix_states
 
-from helpers import T1, T2, T3, random_graph
+from helpers import (
+    T1,
+    T2,
+    T3,
+    acceptance_instances,
+    counter_chain,
+    random_graph,
+    reference_walk,
+)
 
-INST1 = build_instance(augment(T1))
-INST3 = build_instance(augment(T3))
+INST1 = LocalOptInstance(augment(T1))
+INST3 = LocalOptInstance(augment(T3))
 
 T1_SOLUTION = SearchState(1, (1, 0, 0, 0, 1, 0, 0, 0))
 
@@ -175,21 +182,27 @@ def test_walk_budget_exhaustion_is_an_error():
     assert walk_localopt(INST1, budget=2).steps == 2
 
 
+def test_walk_error_names_the_exhausted_budget():
+    with pytest.raises(WalkError, match="the given budget ran out"):
+        walk_localopt(INST1, budget=0)
+    with pytest.raises(WalkError, match="the given budget ran out"):
+        walk_localopt(INST1, INVALID_STATE, budget=0)
+    assert walk_localopt(INST1, T1_SOLUTION, budget=0) == WalkResult(T1_SOLUTION, 0)
+
+
 def test_anchored_walk_matches_the_plain_walk():
-    anchored = walk_sink_of_path(SinkOfPathInstance(INST1, INST1.reset))
+    anchored = walk_localopt(INST1, SearchState(2, (0,) * 8))
     assert anchored == walk_localopt(INST1)
 
 
 def test_anchored_walk_at_a_local_optimum_reports_zero():
-    anchored = walk_sink_of_path(SinkOfPathInstance(INST1, T1_SOLUTION))
-    assert anchored == WalkResult(T1_SOLUTION, 0)
+    sink = SearchState(4, (1, 0, 0, 0, 0, 0, 1, 0, 0, 0))
+    assert walk_localopt(INST3, sink) == WalkResult(sink, 0)
 
 
 def test_anchored_walk_from_an_invalid_state():
-    start = SearchState(0, (7, 0, 0, 0, 0, 0, 0, 0))
-    anchored = walk_sink_of_path(SinkOfPathInstance(INST1, start))
-    assert anchored.solution == T1_SOLUTION
-    assert anchored.steps >= 1
+    anchored = walk_localopt(INST1, INVALID_STATE)
+    assert anchored == WalkResult(T1_SOLUTION, 3)
 
 
 def test_certificate_kinds():
@@ -255,7 +268,7 @@ def test_walk_replays_the_simulation():
     for _ in range(80):
         g = random_graph(rng, rng.randrange(2, 8))
         aug = augment(g)
-        inst = build_instance(aug)
+        inst = LocalOptInstance(aug)
         states = prefix_states(aug.h, aug.terminals)
         solution, steps = walk_localopt(inst)
         assert steps == len(states) - 1
@@ -270,3 +283,93 @@ def test_concurrent_walkers_share_one_instance():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: walk_localopt(INST1), range(8)))
     assert all(r == WalkResult(T1_SOLUTION, 2) for r in results)
+
+
+# -- differential test against the neighbor/potential iteration ----------
+
+
+def _trap_instance():
+    # A hand-built board with a non-terminal vertex whose two slots loop
+    # back to itself (augment would rewire it to the fresh sink): fresh
+    # origin 2 feeds vertex 1, which circles until its next slot would
+    # pass the entry cap.  Vertex 0 is the destination, 3 the fresh sink.
+    h = SwitchGraph(n=4, even=(0, 1, 1, 3), odd=(0, 1, 1, 3), origin=2, dest=0)
+    aug = AugmentedInstance(h=h, o_bar=2, d_bar=3, x_d=frozenset(), source_dest=0)
+    return LocalOptInstance(aug)
+
+
+def _starts(inst, rng):
+    """Invalid, out-of-domain, terminal and valid starts, including valid
+    flows with an entry at the cap."""
+    m, cap = inst.m, inst.max_entry
+    path = [inst.reset]
+    while not inst.is_local_optimum(path[-1]):
+        path.append(inst.neighbor(path[-1]))
+    starts = [
+        INVALID_STATE,
+        SearchState(0, (0,) * (2 * m - 1)),
+        SearchState(m, (0,) * (2 * m)),
+        SearchState(0, (-1,) + (0,) * (2 * m - 1)),
+        SearchState(inst.aug.source_dest, (0,) * (2 * m)),
+    ]
+    starts += path
+    for _ in range(4):
+        starts.append(
+            SearchState(rng.randrange(m), tuple(rng.randrange(cap + 2) for _ in range(2 * m)))
+        )
+    for state in (path[0], path[len(path) // 2], path[-1]):
+        for terminal in inst.aug.terminals:
+            for loops in ((cap, cap), (cap, cap - 1)):
+                flow = list(state.flow)
+                flow[2 * terminal : 2 * terminal + 2] = loops
+                starts.append(SearchState(state.vertex, tuple(flow)))
+        flow = list(state.flow)
+        flow[rng.randrange(2 * m)] = cap
+        starts.append(SearchState(state.vertex, tuple(flow)))
+    return starts
+
+
+def _assert_walks_agree(inst, start):
+    expected = reference_walk(inst, start)
+    assert walk_localopt(inst, start) == expected, start
+    steps = expected[1]
+    assert walk_localopt(inst, start, budget=steps) == expected, start
+    for budget in (steps - 1, -1):
+        with pytest.raises(WalkError):
+            reference_walk(inst, start, budget)
+        with pytest.raises(WalkError):
+            walk_localopt(inst, start, budget)
+    return expected
+
+
+def test_walk_agrees_with_the_reference_on_the_acceptance_instances():
+    for g in acceptance_instances():
+        inst = LocalOptInstance(augment(g))
+        assert walk_localopt(inst) == reference_walk(inst), g
+
+
+def test_walk_agrees_with_the_reference_on_counter_chains():
+    for n in range(2, 12):
+        inst = LocalOptInstance(augment(counter_chain(n)))
+        run_length = len(prefix_states(inst.h, inst.aug.terminals)) - 1
+        assert _assert_walks_agree(inst, None)[1] == run_length, n
+
+
+def test_walk_agrees_with_the_reference_from_arbitrary_starts():
+    rng = random.Random(23)
+    instances = [_trap_instance(), INST1, INST3]
+    instances += [
+        LocalOptInstance(augment(random_graph(rng, rng.randrange(2, 7))))
+        for _ in range(30)
+    ]
+    for inst in instances:
+        for start in _starts(inst, rng):
+            _assert_walks_agree(inst, start)
+
+
+def test_walk_stops_where_the_next_entry_would_pass_the_cap():
+    inst = _trap_instance()
+    solution, steps = walk_localopt(inst)
+    assert solution == SearchState(1, (0, 0, 16, 16, 1, 0, 0, 0))
+    assert steps == 33
+    assert inst.is_local_optimum(solution)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 from switchflow import flows
 from switchflow.suite import (
     FAMILIES,
@@ -68,3 +73,26 @@ def test_failure_reports_carry_a_reproduction_spec():
 
 def test_empty_report_is_ok():
     assert CheckReport().ok
+
+
+def test_reimporting_the_package_releases_the_old_modules():
+    # A fresh interpreter, so no test module holds the old modules.
+    script = textwrap.dedent(
+        """
+        import gc, importlib, sys, weakref
+
+        def fresh_import():
+            for name in [k for k in sys.modules if k.split(".")[0] == "switchflow"]:
+                del sys.modules[name]
+            importlib.import_module("switchflow.cli")
+
+        fresh_import()
+        old = weakref.ref(sys.modules["switchflow.simulate"])
+        fresh_import()
+        gc.collect()
+        sys.exit(0 if old() is None else 1)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+    assert result.returncode == 0
