@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import simulate as _sim
-from .graphs import EVEN, ODD, SwitchGraph, slot_index, slot_of
+from .graphs import EVEN, ODD, SwitchGraph, distances_to, slot_index, slot_of
 from .reduction import AugmentedInstance
 
 
@@ -107,22 +107,8 @@ def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     """
     if not 0 <= dest < g.n:
         raise ValueError(f"dest out of range ({dest} not in 0..{g.n - 1})")
-    dist: list[int | None] = [None] * g.n
-    dist[dest] = 0
-    preds = g.predecessor_slots()
-    frontier = [dest]
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            for si in preds[w]:
-                v = si // 2
-                if dist[v] is None:
-                    dist[v] = dist[w] + 1  # type: ignore[operator]
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return tuple(
-        dist[g.successor(si // 2, si % 2)] for si in range(2 * g.n)
-    )
+    dist = distances_to(g, dest)
+    return tuple(dist[g.successor(si // 2, si % 2)] for si in range(2 * g.n))
 
 
 class Completion(NamedTuple):
@@ -167,13 +153,7 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     for v in range(h.n):
         if x[2 * v] - x[2 * v + 1] == 1:
             switches |= 1 << v
-    outcome = _sim.simulate(
-        h,
-        start=u,
-        switches=switches,
-        targets=aug.terminals,
-        budget=h.n * (1 << h.n),
-    )
+    outcome = _sim.simulate(h, start=u, switches=switches, targets=aug.terminals)
     if outcome.verdict is not _sim.Verdict.TERMINATED:
         raise CompletionError(
             f"completion run did not terminate (verdict {outcome.verdict.value}); "

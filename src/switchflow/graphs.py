@@ -154,26 +154,29 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
     return g
 
 
-def reverse_reachable(g: SwitchGraph, target: int) -> set[int]:
-    """All vertices with a directed path (length >= 0) to ``target``.
-
-    The target itself is always included (empty path).  The complement
-    of this set within the vertex set is the absorbing region that can
-    never deliver the token to ``target``.
-    """
+def distances_to(g: SwitchGraph, target: int) -> list[int | None]:
+    """Per vertex: the length of a shortest directed path to ``target``;
+    ``None`` marks the region that can never deliver the token there."""
     if not 0 <= target < g.n:
         raise ValueError(f"target out of range ({target} not in 0..{g.n - 1})")
     preds = g.predecessor_slots()
-    reached = {target}
+    dist: list[int | None] = [None] * g.n
+    dist[target] = 0
     frontier = [target]
-    while frontier:
-        w = frontier.pop()
+    for w in frontier:  # breadth first: the list grows as it is read
+        d = dist[w] + 1  # type: ignore[operator]
         for si in preds[w]:
             v = si // 2
-            if v not in reached:
-                reached.add(v)
+            if dist[v] is None:
+                dist[v] = d
                 frontier.append(v)
-    return reached
+    return dist
+
+
+def reverse_reachable(g: SwitchGraph, target: int) -> set[int]:
+    """All vertices with a directed path (length >= 0) to ``target``;
+    the target itself is always included (empty path)."""
+    return {v for v, d in enumerate(distances_to(g, target)) if d is not None}
 
 
 def _expect(cond: bool, position: str, message: str) -> None:

@@ -100,9 +100,7 @@ class DualityReport:
         )
 
 
-def check_duality(
-    g: SwitchGraph, *, cycle_threshold: int = _sim.CYCLE_DETECTION_THRESHOLD
-) -> DualityReport:
+def check_duality(g: SwitchGraph) -> DualityReport:
     """Decide all three instances and check the yes/no table.
 
     A failing report falsifies the augmentation's duality and indicates
@@ -110,13 +108,9 @@ def check_duality(
     """
     aug = augment(g)
     return DualityReport(
-        g_terminates=_sim.decide_arrival(g, cycle_threshold=cycle_threshold),
-        to_dest_terminates=_sim.decide_arrival(
-            aug.to_dest(), cycle_threshold=cycle_threshold
-        ),
-        to_dbar_terminates=_sim.decide_arrival(
-            aug.to_dbar(), cycle_threshold=cycle_threshold
-        ),
+        g_terminates=_sim.decide_arrival(g),
+        to_dest_terminates=_sim.decide_arrival(aug.to_dest()),
+        to_dbar_terminates=_sim.decide_arrival(aug.to_dbar()),
     )
 
 

@@ -45,6 +45,16 @@ def bouncer_chain(n: int) -> SwitchGraph:
     return graph(n, even, odd, 0, n - 1)
 
 
+def trapped_counter(k: int) -> SwitchGraph:
+    """The origin's first departure enters a closed ``k``-vertex counter
+    (vertices ``1..k``, even back to 1, odd up one, the top back to 1);
+    its second would reach the destination ``k + 1``.  The run never
+    terminates; its first state recurs after ``2**(k+1) - 1`` steps."""
+    even = [1] + [1] * k + [k + 1]
+    odd = [k + 1] + list(range(2, k + 1)) + [1, k + 1]
+    return graph(k + 2, even, odd, 0, k + 1)
+
+
 def random_graph(rng: random.Random, n: int) -> SwitchGraph:
     """Uniform successor maps; origin 0, dest n-1."""
     return graph(
@@ -134,6 +144,43 @@ def reference_walk(inst, start=None, budget=None):
             return state, steps
         state, current = nxt, upcoming
     raise WalkError(f"no local optimum within {budget} steps")
+
+
+def reference_run(g: SwitchGraph, budget=None, *, start=None, switches=0, targets=None):
+    """Run oracle: step the token keeping every visited (vertex, switches)
+    state in a dict, until a target, the first repeated state, or the
+    budget.  Returns ``(outcome, trace)`` in the shape ``simulate`` uses.
+    """
+    from switchflow.simulate import (
+        CycleWitness, RunOutcome, TraceStep, Verdict, default_budget,
+    )
+
+    target_set = {g.dest} if targets is None else set(targets)
+    if budget is None:
+        budget = default_budget(g.n)
+    v = g.origin if start is None else start
+    profile = [0] * (2 * g.n)
+    trace = []
+    seen: dict[tuple[int, int], int] = {}
+    steps = 0
+    while True:
+        if v in target_set:
+            return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v), trace
+        first = seen.get((v, switches))
+        if first is not None:
+            witness = CycleWitness(v, switches, first, steps)
+            outcome = RunOutcome(Verdict.NON_TERMINATING, tuple(profile), steps, v, witness)
+            return outcome, trace
+        seen[(v, switches)] = steps
+        if steps >= budget:
+            return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(profile), steps, v), trace
+        parity = (switches >> v) & 1
+        w = g.odd[v] if parity else g.even[v]
+        profile[2 * v + parity] += 1
+        switches ^= 1 << v
+        trace.append(TraceStep(steps, v, parity, w))
+        v = w
+        steps += 1
 
 
 def all_two_vertex_graphs() -> list[SwitchGraph]:

@@ -256,8 +256,11 @@ def test_check_self_test_mode(capsys):
 
 def test_check_rejects_out_of_range_sizes(capsys):
     assert run_cli(capsys, "check", "--n-max", "1")[0] == 2
-    assert run_cli(capsys, "check", "--n-max", "25")[0] == 2
     assert run_cli(capsys, "check", "--count", "0")[0] == 2
+    # sizes above 20 have no ceiling; 24 instances reach n = 25
+    code, out, _ = run_cli(capsys, "check", "--n-max", "25", "--count", "24")
+    assert code == 0
+    assert "result: ok" in out
 
 
 def test_output_flag_writes_a_file(capsys, t1_file, tmp_path):

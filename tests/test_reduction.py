@@ -11,7 +11,7 @@ from switchflow.graphs import graph, require_valid, validate
 from switchflow.reduction import augment, check_duality, sidecar_doc
 from switchflow.simulate import Verdict, decide_arrival, simulate
 
-from helpers import T1, T2, T3, closure_reachable, random_graph
+from helpers import T1, T2, T3, closure_reachable, random_graph, trapped_counter
 
 
 @st.composite
@@ -123,6 +123,11 @@ def test_duality_on_the_canonical_graphs():
     assert rep.ok
 
     assert check_duality(T2).ok
+
+
+def test_duality_on_a_trapped_counter():
+    report = check_duality(trapped_counter(40))
+    assert report.ok and not report.g_terminates
 
 
 def test_duality_on_seeded_random_graphs():

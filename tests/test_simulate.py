@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchflow.generate import MODELS, GeneratorSpec, generate
 from switchflow.graphs import graph
+from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.simulate import (
-    CYCLE_DETECTION_THRESHOLD,
     TraceStep,
     Verdict,
     decide_arrival,
@@ -21,7 +22,18 @@ from switchflow.simulate import (
     simulate,
 )
 
-from helpers import T1, T2, T3, bouncer_chain, counter_chain, random_graph, rotor_run
+from helpers import (
+    T1,
+    T2,
+    T3,
+    acceptance_instances,
+    bouncer_chain,
+    counter_chain,
+    random_graph,
+    reference_run,
+    rotor_run,
+    trapped_counter,
+)
 
 
 @st.composite
@@ -98,31 +110,94 @@ def test_decision_matches_the_run():
     assert decide_arrival(T3) is False
 
 
-def test_decision_refuses_graphs_beyond_the_threshold():
-    n = CYCLE_DETECTION_THRESHOLD + 1
-    g = graph(n, [min(v + 1, n - 1) for v in range(n)] * 1,
-              [min(v + 1, n - 1) for v in range(n)], 0, n - 1)
-    with pytest.raises(ValueError, match="cycle-detection threshold"):
-        decide_arrival(g)
+def test_decision_decides_n_21():
+    n = 21
+    chain = [min(v + 1, n - 1) for v in range(n)]
+    assert decide_arrival(graph(n, chain, chain, 0, n - 1)) is True
+    assert decide_arrival(graph(n, [0] * n, [0] * n, 0, n - 1)) is False
 
 
-def test_large_graphs_run_in_budget_only_mode():
-    n = CYCLE_DETECTION_THRESHOLD + 5
+def test_large_graphs_get_a_decisive_verdict():
+    n = 25
     chain = [min(v + 1, n - 1) for v in range(n)]
     outcome = run(graph(n, chain, chain, 0, n - 1))
     assert outcome.verdict is Verdict.TERMINATED
     assert outcome.steps == n - 1
 
     stuck = graph(n, [0] * n, [0] * n, 0, n - 1)
-    outcome = run(stuck, budget=100)
-    assert outcome.verdict is Verdict.BUDGET_EXHAUSTED
-    assert outcome.steps == 100
+    for budget in (None, 100):
+        outcome = run(stuck, budget=budget)
+        assert outcome.verdict is Verdict.NON_TERMINATING
+        w = outcome.cycle_witness
+        assert (w.vertex, w.switches, w.first_step, w.second_step) == (0, 0, 0, 2)
 
 
 def test_budget_exhaustion_below_the_cycle_length():
-    outcome = run(T3, budget=5, cycle_threshold=2)
+    # T3's first repeated state recurs at step 4
+    outcome = run(T3, budget=3)
     assert outcome.verdict is Verdict.BUDGET_EXHAUSTED
-    assert outcome.steps == 5
+    assert outcome.steps == 3
+    assert run(T3, budget=4).verdict is Verdict.NON_TERMINATING
+
+
+def _assert_matches_the_reference(g, budget=None):
+    trace = []
+    outcome = run(g, budget, trace=trace)
+    assert (outcome, trace) == reference_run(g, budget), (g, budget)
+    return outcome
+
+
+def test_run_matches_the_reference_on_the_acceptance_suite():
+    for g in acceptance_instances():
+        _assert_matches_the_reference(g)
+
+
+def test_run_matches_the_reference_on_a_budget_grid():
+    # every budget around the end of the run, where the reference's
+    # visited-state dict and the anchors of cycle detection differ most
+    for n in range(2, 13):
+        for model in MODELS:
+            for seed in range(200):
+                g = generate(GeneratorSpec(n=n, seed=seed, model=model))
+                full = _assert_matches_the_reference(g)
+                end = full.steps
+                for budget in (0, 1, 3, 7, 20, 100, end - 1, end):
+                    _assert_matches_the_reference(g, budget)
+
+
+def test_simulate_matches_the_reference_from_any_state():
+    rng = random.Random(20260819)
+    for _ in range(2000):
+        n = rng.randrange(2, 9)
+        g = random_graph(rng, n)
+        kwargs = dict(
+            start=rng.randrange(n),
+            switches=rng.getrandbits(n),
+            targets=set(rng.sample(range(n), rng.randrange(3))),
+        )
+        budget = rng.choice([None, 0, 1, 5, 30])
+        trace = []
+        outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+        assert (outcome, trace) == reference_run(g, budget, **kwargs)
+
+
+def test_run_without_cycle_detection_takes_the_whole_budget():
+    outcome = simulate(T3, budget=10, detect_cycles=False)
+    assert outcome.verdict is Verdict.BUDGET_EXHAUSTED
+    assert outcome.steps == 10
+    assert run_prefix(T3, 10) == (outcome.final_vertex, outcome.profile, 0b11)
+
+
+def test_decision_agrees_with_the_certificate_beyond_20_vertices():
+    for n in range(21, 201):
+        for model in MODELS:
+            g = generate(GeneratorSpec(n=n, seed=n, model=model))
+            assert decide_arrival(g) == (solve_s_arrival(g).kind == TERMINATION), (n, model)
+
+
+def test_decision_stops_at_the_unreachable_region():
+    # the trap's cycle has 2**41 - 2 states, far beyond any stepping
+    assert decide_arrival(trapped_counter(40)) is False
 
 
 def test_default_budget_value():
