@@ -14,10 +14,11 @@ including missing or unreadable files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Sequence
+from typing import ContextManager, Sequence, TextIO
 
 from . import flows, generate, graphs, local_search, reduction, simulate, suite
 
@@ -44,14 +45,17 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
+def _output(args: argparse.Namespace) -> ContextManager[TextIO]:
+    if args.output is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(args.output, "w", encoding="utf-8")
+
+
 def _write_output(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _load_graph(args: argparse.Namespace) -> graphs.SwitchGraph:
@@ -136,18 +140,13 @@ def cmd_walk(args: argparse.Namespace) -> int:
         except ValueError as e:
             raise _UsageError(f"--start: {e}") from None
     result = local_search.walk_localopt(inst, start, budget=args.budget)
-
-    lines = []
-    if args.trace:
-        state = start
-        for step in range(result.steps + 1):
-            lines.append(_dumps({"step": step, **local_search.state_doc(inst, state)}))
-            if step < result.steps:
-                state = inst.neighbor(state)
     doc = local_search.state_doc(inst, result.solution)
     doc["steps"] = result.steps
-    lines.append(_dumps(doc))
-    _write_output(args, "\n".join(lines))
+    with _output(args) as out:
+        if args.trace:
+            for step, state in enumerate(local_search.walk_trace(inst, start, result.steps)):
+                out.write(_dumps({"step": step, **state}) + "\n")
+        out.write(_dumps(doc) + "\n")
     return 0
 
 

@@ -35,7 +35,7 @@ potential shifted up by one to stay nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import flows as _flows
 from .graphs import SwitchGraph, require_valid
@@ -263,6 +263,27 @@ def state_doc(inst: LocalOptInstance, state: SearchState) -> dict:
         "counts": list(state.flow),
         "potential": inst.potential(state),
     }
+
+
+def walk_trace(inst: LocalOptInstance, start: SearchState, steps: int) -> Iterator[dict]:
+    """The first ``steps + 1`` states of the walk from ``start``, as
+    :func:`state_doc` dicts, lazily and in O(1) per step after the first:
+    an invalid start is followed by the reset state, and each step from
+    a valid state adds one to a slot and to the potential."""
+    v, flow = start.vertex, list(start.flow)
+    potential = inst.potential(start)
+    even, odd = inst.h.even, inst.h.odd
+    for step in range(steps + 1):
+        yield {"vertex": v, "counts": flow[:], "potential": potential}
+        if step == steps:
+            break
+        if potential < 0:
+            v, flow, potential = inst.reset.vertex, list(inst.reset.flow), 0
+            continue
+        slot = 2 * v + flow[2 * v] - flow[2 * v + 1]
+        flow[slot] += 1
+        v = odd[v] if slot & 1 else even[v]
+        potential += 1
 
 
 def hex_encode(inst: LocalOptInstance, state: SearchState) -> str:

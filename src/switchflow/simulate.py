@@ -11,8 +11,15 @@ simulation state is the pair (vertex, switches) and the graph itself is
 never mutated.  The state space has size ``n * 2**n``, so either the
 destination is reached or some state repeats.  Repeats are found by
 Brent's cycle detection, which keeps one earlier state instead of every
-visited one, so runs need O(n) memory at any ``n``; the decision stops
-early, where the destination falls out of reach.
+visited one, so runs need O(n) memory at any ``n``.
+
+The decision stops a long run where the destination falls out of reach,
+and when a single vertex cuts every cycle of the vertices that can still
+reach it, computes that stopped run without stepping: batched passes
+fire each vertex's whole token count at once, a bisection over the
+feedback vertex's departure count finds the run profile, and
+``flows.verify`` checks it before it is trusted.  Other long runs are
+stepped.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -100,13 +107,19 @@ def simulate(
     even, odd = g.even, g.odd
     # Brent's cycle detection: each state is compared with the anchor, the
     # state at the last power-of-two step.  A state before the cycle never
-    # recurs, so the first match gives the cycle length exactly.
+    # recurs, so the first match gives the cycle length exactly.  From
+    # step 2n on, each anchor also keeps a copy of the profile (``anchor``,
+    # and ``back`` for the one before), from which the first repeat is
+    # sought instead of from the start; below 2n steps the copies would
+    # cost more than stepping again.
     anchor_v, anchor_sw, anchor_step = v, sw, 0
+    back = anchor = None
 
     while v not in target_set:
         if steps >= budget:
             # A repeat that closed unseen by the anchors has this state on its cycle.
             cycle = _return_time(g, v, sw, target_set, budget) if detect_cycles else None
+            back, horizon = anchor, steps
             break
         bit = 1 << v
         parity = ODD if sw & bit else EVEN
@@ -120,14 +133,21 @@ def simulate(
         if detect_cycles:
             if v == anchor_v and sw == anchor_sw:
                 cycle = steps - anchor_step
+                horizon = anchor_step
                 break
             if not steps & (steps - 1):
                 anchor_v, anchor_sw, anchor_step = v, sw, steps
+                if steps >= 2 * n:
+                    back, anchor = anchor, (v, sw, steps, profile[:])
     else:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
 
     if cycle is not None:
-        mu, v_mu, sw_mu, profile_mu = _first_repeat(g, first_v, switches, cycle)
+        # ``back`` was the anchor through step ``horizon``: had it lain on
+        # the cycle, it would have matched by then if the cycle fits
+        if back is None or back[2] + cycle > horizon:
+            back = (first_v, switches, 0, [0] * (2 * n))
+        mu, v_mu, sw_mu, profile_mu = _first_repeat(g, back, cycle)
         if mu + cycle <= budget:
             if trace is not None:
                 del trace[len(trace) - steps + mu + cycle:]
@@ -153,13 +173,15 @@ def _return_time(
 
 
 def _first_repeat(
-    g: SwitchGraph, v: int, sw: int, cycle: int
+    g: SwitchGraph, start: tuple[int, int, int, list[int]], cycle: int
 ) -> tuple[int, int, int, tuple[int, ...]]:
-    """Where the run from (v, sw) first repeats, given its cycle length: a
-    lead token ``cycle`` steps ahead of a trailing one first shares its
-    state at step ``mu``.  Returns mu, that state and the lead's profile."""
+    """Where the run first repeats, given its cycle length and a state
+    ``start = (vertex, switches, step, profile)`` it passed at or before
+    that repeat: a lead token ``cycle`` steps ahead of a trailing one
+    from there first shares its state at step mu.  Returns mu, that
+    state and the lead's profile, which grows in place from ``start``'s."""
     even, odd = g.even, g.odd
-    profile = [0] * (2 * g.n)
+    v, sw, base, profile = start
     lead_v, lead_sw = v, sw
     steps = 0
     while steps < cycle or lead_v != v or lead_sw != sw:
@@ -173,7 +195,7 @@ def _first_repeat(
             v = odd[v] if sw & bit else even[v]
             sw ^= bit
         steps += 1
-    return steps - cycle, v, sw, tuple(profile)
+    return base + steps - cycle, v, sw, tuple(profile)
 
 
 def run(
@@ -211,14 +233,130 @@ def decide_arrival(g: SwitchGraph) -> bool:
     Runs that end or repeat early are settled within ``4n`` steps.  Any
     other run stops where the destination falls out of reach: the token
     never arrives from a vertex with no path to it, and a run that keeps
-    to the vertices with one arrives (Dohrau et al.)."""
+    to the vertices with one arrives (Dohrau et al.).  When one vertex
+    cuts every cycle of the others, that stopped run is computed by
+    batched passes (:func:`_multirun`) and trusted only once
+    ``flows.verify`` accepts its profile; otherwise it is stepped."""
     require_valid(g)
     outcome = simulate(g, budget=4 * g.n)
     if outcome.verdict is Verdict.BUDGET_EXHAUSTED:
         stops = set(range(g.n)) - reverse_reachable(g, g.dest) | {g.dest}
-        outcome = simulate(g, targets=stops, detect_cycles=False)
+        outcome = _multirun(g, stops) or simulate(g, targets=stops, detect_cycles=False)
         assert outcome.verdict is Verdict.TERMINATED
     return outcome.verdict is Verdict.TERMINATED and outcome.final_vertex == g.dest
+
+
+def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
+    """The run from the origin to the first of ``stops``, computed in
+    batched passes, or None when no single vertex ``s`` leaves the other
+    non-stop vertices acyclic.  Every vertex must reach a stop.
+
+    Given ``w`` departures from ``s``, one pass fires ``s`` ``w`` times
+    and then every other non-stop vertex once, in topological order: a
+    vertex holding ``k`` tokens sends ``ceil(k/2)`` through its even slot
+    and ``floor(k/2)`` through its odd one (Gärtner, Haslebacher, Hoang,
+    multi-run over a vertex subset).  The tokens the stops absorb never
+    fall and rise by at most one per unit of ``w``, and the least ``w``
+    at which one is absorbed is the run's own departure count from
+    ``s``, so that pass's slot counts are the run profile.  Since the
+    run profile is at most any switching flow, the result is returned
+    only as a flow that ``flows.verify`` accepts and that leaves every
+    stop's slots at zero: that proves the run stops where it says."""
+    from . import flows
+
+    found = _feedback_vertex(g, set(range(g.n)) - stops)
+    if found is None:
+        return None
+    s, order = found
+    order.insert(0, s)
+    n, even, odd, origin = g.n, g.even, g.odd, g.origin
+
+    def fire(w: int) -> tuple[list[int], list[int]]:
+        tokens = [0] * n
+        tokens[origin] = 1
+        tokens[s] = w  # the origin's token is one of them when s is the origin
+        profile = [0] * (2 * n)
+        for v in order:
+            k = tokens[v]
+            profile[2 * v] = k_even = k - (k >> 1)
+            profile[2 * v + 1] = k_odd = k >> 1
+            tokens[even[v]] += k_even
+            tokens[odd[v]] += k_odd
+        return tokens, profile
+
+    def absorbs(w: int) -> bool:
+        tokens, _ = fire(w)
+        return any(tokens[t] for t in stops)
+
+    lo, hi = -1, 0
+    while not absorbs(hi):
+        assert hi < 8 << n, "no departure count within the slot ceilings; indicates a bug"
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if absorbs(mid):
+            hi = mid
+        else:
+            lo = mid
+    tokens, profile = fire(hi)
+    reached = next(t for t in stops if tokens[t])
+    report = flows.verify(g, origin, reached, profile)
+    assert report.valid and not any(profile[2 * t] or profile[2 * t + 1] for t in stops), (
+        "batched run profile failed verification: "
+        f"{report.conservation_violations} {report.parity_violations}"
+    )
+    return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), reached)
+
+
+def _feedback_vertex(g: SwitchGraph, vertices: set[int]) -> tuple[int, list[int]] | None:
+    """A vertex whose removal leaves ``vertices`` acyclic, with a
+    topological order of the rest, or None.  Such a vertex lies on every
+    cycle, so only the vertices of one cycle are tried, and each failure
+    narrows them to a cycle that avoids it: O(n) per try."""
+    order, left = _topological_order(g, vertices)
+    if not left:
+        return (order[0], order[1:]) if order else None
+    preds = g.predecessor_slots()
+    candidates = _cycle(preds, left)
+    while candidates:
+        s = candidates.pop()
+        order, left = _topological_order(g, vertices - {s})
+        if not left:
+            return s, order
+        on_cycle = set(_cycle(preds, left))
+        candidates = [v for v in candidates if v in on_cycle]
+    return None
+
+
+def _topological_order(g: SwitchGraph, vertices: set[int]) -> tuple[list[int], set[int]]:
+    """Kahn's order of the vertices not downstream of a cycle within
+    ``vertices``, and the set of the others."""
+    indegree = dict.fromkeys(vertices, 0)
+    for v in vertices:
+        for w in (g.even[v], g.odd[v]):
+            if w in indegree:
+                indegree[w] += 1
+    order = [v for v in vertices if not indegree[v]]
+    for v in order:  # the list grows as it is read
+        for w in (g.even[v], g.odd[v]):
+            if w in indegree:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    order.append(w)
+    return order, vertices.difference(order)
+
+
+def _cycle(preds: list[list[int]], left: set[int]) -> list[int]:
+    """A cycle within ``left``, walked backwards: every vertex Kahn's
+    order leaves over has a predecessor that is left over too."""
+    v = next(iter(left))
+    position: dict[int, int] = {}
+    path = []
+    while v not in position:
+        position[v] = len(path)
+        path.append(v)
+        v = next(si // 2 for si in preds[v] if si // 2 in left)
+    return path[position[v]:]
 
 
 def format_trace(trace: Iterable[TraceStep]) -> str:

@@ -55,6 +55,27 @@ def trapped_counter(k: int) -> SwitchGraph:
     return graph(k + 2, even, odd, 0, k + 1)
 
 
+def trap_chain(n: int) -> SwitchGraph:
+    """A counter on vertices ``0..n-3`` whose top vertex ``n-3`` leaves on
+    its even slot into the self-looped trap ``n-2`` and on its odd slot to
+    the destination ``n-1``.  The top's first departure is even, so the
+    run enters the trap after ``2**(n-2) - 1`` steps and never arrives."""
+    k = n - 2
+    even = [0] * (k - 1) + [k, k, k + 1]
+    odd = list(range(1, k)) + [k + 1, k, k + 1]
+    return graph(n, even, odd, 0, n - 1)
+
+
+def relabel(g: SwitchGraph, perm: list[int]) -> SwitchGraph:
+    """The same board with vertex ``v`` renamed ``perm[v]``."""
+    even = [0] * g.n
+    odd = [0] * g.n
+    for v in range(g.n):
+        even[perm[v]] = perm[g.even[v]]
+        odd[perm[v]] = perm[g.odd[v]]
+    return graph(g.n, even, odd, perm[g.origin], perm[g.dest])
+
+
 def random_graph(rng: random.Random, n: int) -> SwitchGraph:
     """Uniform successor maps; origin 0, dest n-1."""
     return graph(
@@ -144,6 +165,19 @@ def reference_walk(inst, start=None, budget=None):
             return state, steps
         state, current = nxt, upcoming
     raise WalkError(f"no local optimum within {budget} steps")
+
+
+def reference_walk_trace(inst, start, steps):
+    """Trace oracle: the first ``steps + 1`` states of the walk, each
+    reached through the total neighbor function and scored through the
+    potential, as ``state_doc`` dicts."""
+    from switchflow.local_search import state_doc
+
+    docs = [state_doc(inst, start)]
+    for _ in range(steps):
+        start = inst.neighbor(start)
+        docs.append(state_doc(inst, start))
+    return docs
 
 
 def reference_run(g: SwitchGraph, budget=None, *, start=None, switches=0, targets=None):

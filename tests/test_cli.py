@@ -9,8 +9,10 @@ import pytest
 
 from switchflow.cli import main
 from switchflow.graphs import parse, serialize, validate
+from switchflow.local_search import LocalOptInstance, SearchState, hex_encode, walk_localopt
+from switchflow.reduction import augment
 
-from helpers import T1, T2, T3
+from helpers import T1, T2, T3, counter_chain, reference_walk_trace
 
 T1_TEXT = serialize(T1)
 T2_TEXT = serialize(T2)
@@ -93,6 +95,13 @@ def test_decide_text_verdicts(capsys, t1_file, t3_file):
     )
 
 
+def test_decide_answers_a_64_vertex_counter(capsys, tmp_path):
+    # the run takes 2**64 - 2 steps
+    path = tmp_path / "counter64.json"
+    path.write_text(serialize(counter_chain(64)))
+    assert run_cli(capsys, "decide", "--input", str(path)) == (0, "terminates\n", "")
+
+
 def test_decide_json_verdict(capsys, t3_file):
     code, out, _ = run_cli(capsys, "decide", "--input", t3_file, "--json")
     assert code == 0
@@ -170,6 +179,35 @@ def test_walk_trace_lists_every_state(capsys, t1_file):
     assert [l["potential"] for l in lines[:3]] == [0, 1, 2]
     assert lines[0]["vertex"] == 2
     assert lines[3]["steps"] == 2
+
+
+def _reference_walk_output(g, start=None):
+    inst = LocalOptInstance(augment(g))
+    start = inst.reset if start is None else start
+    result = walk_localopt(inst, start)
+    docs = reference_walk_trace(inst, start, result.steps)
+    lines = [json.dumps({"step": i, **doc}, separators=(",", ":")) for i, doc in enumerate(docs)]
+    final = {**docs[-1], "steps": result.steps}
+    return "\n".join(lines + [json.dumps(final, separators=(",", ":"))]) + "\n"
+
+
+def test_walk_trace_is_the_neighbor_replay(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    for n in range(2, 11):
+        g = counter_chain(n)
+        path.write_text(serialize(g))
+        assert run_cli(capsys, "walk", "--input", str(path), "--trace") == (
+            0, _reference_walk_output(g), ""
+        ), n
+    # an invalid start: one unit on the first slot of the fresh origin
+    inst = LocalOptInstance(augment(T1))
+    flow = [0] * (2 * inst.m)
+    flow[2 * inst.aug.o_bar] = 1
+    start = SearchState(inst.aug.o_bar, tuple(flow))
+    path.write_text(T1_TEXT)
+    out = run_cli(capsys, "walk", "--input", str(path), "--trace", "--start", hex_encode(inst, start))
+    assert out == (0, _reference_walk_output(T1, start), "")
+    assert json.loads(out[1].splitlines()[0])["potential"] == -1
 
 
 def test_walk_accepts_a_hex_start(capsys, t1_file):

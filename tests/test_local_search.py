@@ -25,6 +25,7 @@ from switchflow.local_search import (
     solve_s_arrival,
     state_doc,
     walk_localopt,
+    walk_trace,
 )
 from switchflow.graphs import SwitchGraph
 from switchflow.reduction import AugmentedInstance, augment
@@ -39,6 +40,7 @@ from helpers import (
     counter_chain,
     random_graph,
     reference_walk,
+    reference_walk_trace,
 )
 
 INST1 = LocalOptInstance(augment(T1))
@@ -329,10 +331,16 @@ def _starts(inst, rng):
     return starts
 
 
+def _assert_traces_agree(inst, start, steps):
+    start = inst.reset if start is None else start
+    assert list(walk_trace(inst, start, steps)) == reference_walk_trace(inst, start, steps)
+
+
 def _assert_walks_agree(inst, start):
     expected = reference_walk(inst, start)
     assert walk_localopt(inst, start) == expected, start
     steps = expected[1]
+    _assert_traces_agree(inst, start, steps)
     assert walk_localopt(inst, start, budget=steps) == expected, start
     for budget in (steps - 1, -1):
         with pytest.raises(WalkError):
@@ -345,7 +353,9 @@ def _assert_walks_agree(inst, start):
 def test_walk_agrees_with_the_reference_on_the_acceptance_instances():
     for g in acceptance_instances():
         inst = LocalOptInstance(augment(g))
-        assert walk_localopt(inst) == reference_walk(inst), g
+        expected = reference_walk(inst)
+        assert walk_localopt(inst) == expected, g
+        _assert_traces_agree(inst, None, expected[1])
 
 
 def test_walk_agrees_with_the_reference_on_counter_chains():

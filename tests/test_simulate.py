@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchflow.generate import MODELS, GeneratorSpec, generate
-from switchflow.graphs import graph
+from switchflow import flows
+from switchflow.graphs import graph, reverse_reachable
 from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.simulate import (
     TraceStep,
     Verdict,
+    _feedback_vertex,
+    _multirun,
     decide_arrival,
     default_budget,
     format_trace,
@@ -31,7 +35,9 @@ from helpers import (
     counter_chain,
     random_graph,
     reference_run,
+    relabel,
     rotor_run,
+    trap_chain,
     trapped_counter,
 )
 
@@ -198,6 +204,86 @@ def test_decision_agrees_with_the_certificate_beyond_20_vertices():
 def test_decision_stops_at_the_unreachable_region():
     # the trap's cycle has 2**41 - 2 states, far beyond any stepping
     assert decide_arrival(trapped_counter(40)) is False
+
+
+def _stops(g):
+    return set(range(g.n)) - reverse_reachable(g, g.dest) | {g.dest}
+
+
+def _assert_batched_matches_stepping(g):
+    stops = _stops(g)
+    batched = _multirun(g, stops)
+    if batched is not None:
+        assert batched == simulate(g, targets=stops, detect_cycles=False), g
+    return batched
+
+
+def test_batched_run_matches_stepping_on_generated_graphs():
+    batched = 0
+    for n in range(2, 61):
+        for model in MODELS:
+            for seed in range(40):
+                g = generate(GeneratorSpec(n=n, seed=seed, model=model))
+                batched += _assert_batched_matches_stepping(g) is not None
+    assert batched >= 1000  # about a fifth have a single feedback vertex
+
+
+def test_batched_run_matches_stepping_on_relabelled_chains():
+    rng = random.Random(20261018)
+    for family, sizes in ((counter_chain, range(2, 15)), (trap_chain, range(4, 17))):
+        for n in sizes:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabel(family(n), perm)
+            assert _feedback_vertex(g, set(range(g.n)) - _stops(g))[0] == g.origin
+            assert _assert_batched_matches_stepping(g) is not None, (family, n)
+
+
+def test_batched_run_without_departures_from_the_feedback_vertex():
+    # the origin steps straight to the destination; 1 <-> 2 is the only cycle
+    g = graph(4, [3, 2, 1, 3], [3, 2, 3, 3], 0, 3)
+    s, _ = _feedback_vertex(g, {0, 1, 2})
+    outcome = _assert_batched_matches_stepping(g)
+    assert s != g.origin and outcome.profile[2 * s : 2 * s + 2] == (0, 0)
+    assert outcome.steps == 1 and outcome.final_vertex == 3
+
+
+def test_the_bouncer_has_no_single_feedback_vertex():
+    g = bouncer_chain(91)
+    assert _multirun(g, _stops(g)) is None
+    assert decide_arrival(g) is True
+
+
+def test_batched_answers_pass_verify(monkeypatch):
+    g = counter_chain(8)
+    assert _multirun(g, _stops(g)).steps == 2 * (1 << 7) - 2
+    rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
+    monkeypatch.setattr(flows, "verify", lambda *args: rejected)
+    with pytest.raises(AssertionError, match="failed verification"):
+        _multirun(g, _stops(g))
+
+
+def test_decision_of_64_vertex_chains():
+    # 2**64 - 2 and 2**62 - 1 steps: stepping would never finish
+    for g, terminates, steps in (
+        (counter_chain(64), True, (1 << 64) - 2),
+        (trap_chain(64), False, (1 << 62) - 1),
+    ):
+        assert _multirun(g, _stops(g)).steps == steps
+        start = time.perf_counter()
+        assert decide_arrival(g) is terminates
+        assert time.perf_counter() - start < 1.0
+
+
+def test_run_matches_the_reference_on_trap_chains():
+    # the first repeat lies far beyond the anchor before the one that
+    # matched, so it is sought from that anchor's copy of the profile
+    for n in range(4, 15):
+        g = trap_chain(n)
+        end = (1 << (n - 2)) + 1
+        for budget in (None, end - 1, end, end + 1, 1 << (n - 2), 3 << (n - 3)):
+            outcome = _assert_matches_the_reference(g, budget)
+        assert outcome.cycle_witness.first_step == end - 2
 
 
 def test_default_budget_value():
