@@ -17,90 +17,66 @@ The package splits into layers, importable as submodules:
 * :mod:`switchflow.suite` -- the end-to-end property suite;
 * :mod:`switchflow.cli` -- the ``switchflow`` command.
 
-The most common entry points are re-exported here.
+The most common entry points are re-exported here.  Each layer loads on
+first use, of a re-exported name or of the layer itself, so a program
+(or a ``switchflow`` command) that needs one layer pays for no other.
 """
 
-from .flows import (
-    BoundReport,
-    Completion,
-    FlowCheckReport,
-    check_bounds,
-    complete,
-    desperation,
-    verify,
-)
-from .generate import GeneratorSpec, instance_stream
-from .graphs import (
-    EVEN,
-    ODD,
-    EdgeSlot,
-    GraphFormatError,
-    SwitchGraph,
-    graph,
-    parse,
-    require_valid,
-    reverse_reachable,
-    serialize,
-    to_dot,
-    validate,
-)
-from .local_search import (
-    Certificate,
-    LocalOptInstance,
-    SearchState,
-    extract_certificate,
-    solve_s_arrival,
-    walk_localopt,
-)
-from .reduction import AugmentedInstance, DualityReport, augment, check_duality
-from .simulate import (
-    RunOutcome,
-    Verdict,
-    decide_arrival,
-    run,
-    run_prefix,
-)
-from .suite import CheckReport, run_checks
+import importlib
+
+_EXPORTS = {
+    "flows": (
+        "BoundReport",
+        "Completion",
+        "FlowCheckReport",
+        "check_bounds",
+        "complete",
+        "desperation",
+        "verify",
+    ),
+    "generate": ("GeneratorSpec", "instance_stream"),
+    "graphs": (
+        "EVEN",
+        "ODD",
+        "EdgeSlot",
+        "GraphFormatError",
+        "SwitchGraph",
+        "graph",
+        "parse",
+        "require_valid",
+        "reverse_reachable",
+        "serialize",
+        "to_dot",
+        "validate",
+    ),
+    "local_search": (
+        "Certificate",
+        "LocalOptInstance",
+        "SearchState",
+        "extract_certificate",
+        "solve_s_arrival",
+        "walk_localopt",
+    ),
+    "reduction": ("AugmentedInstance", "DualityReport", "augment", "check_duality"),
+    "simulate": ("RunOutcome", "Verdict", "decide_arrival", "run", "run_prefix"),
+    "suite": ("CheckReport", "run_checks"),
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentedInstance",
-    "BoundReport",
-    "Certificate",
-    "CheckReport",
-    "Completion",
-    "DualityReport",
-    "EVEN",
-    "EdgeSlot",
-    "FlowCheckReport",
-    "GeneratorSpec",
-    "GraphFormatError",
-    "LocalOptInstance",
-    "ODD",
-    "RunOutcome",
-    "SearchState",
-    "SwitchGraph",
-    "Verdict",
-    "augment",
-    "check_bounds",
-    "check_duality",
-    "complete",
-    "decide_arrival",
-    "desperation",
-    "extract_certificate",
-    "graph",
-    "instance_stream",
-    "parse",
-    "require_valid",
-    "reverse_reachable",
-    "run",
-    "run_checks",
-    "run_prefix",
-    "serialize",
-    "solve_s_arrival",
-    "to_dot",
-    "validate",
-    "verify",
-    "walk_localopt",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,9 @@ across runs.
 Exit codes: 0 on success (or a valid verdict), 1 when the input is
 content-invalid or a property is falsified, 2 on usage errors,
 including missing or unreadable files.
+
+Each command imports the layers it runs when it runs, so ``decide``
+loads no flow, search, suite or generator code.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ import contextlib
 import json
 import os
 import sys
-from typing import ContextManager, Sequence, TextIO
+from typing import TYPE_CHECKING, ContextManager, Sequence, TextIO
 
-from . import flows, generate, graphs, local_search, reduction, simulate, suite
+from .graphs import MODELS, SolverError, SwitchGraph, parse, serialize
+
+if TYPE_CHECKING:
+    from .suite import CheckReport
 
 
 class _UsageError(Exception):
@@ -58,38 +64,46 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         out.write(text)
 
 
-def _load_graph(args: argparse.Namespace) -> graphs.SwitchGraph:
-    return graphs.parse(_read_text(args.input))
+def _load_graph(args: argparse.Namespace) -> SwitchGraph:
+    return parse(_read_text(args.input))
 
 
 def _load_flow(args: argparse.Namespace) -> tuple[int, int, tuple[int, ...]]:
-    return flows.parse_flow(_read_text(args.flow))
+    from .flows import parse_flow
+
+    return parse_flow(_read_text(args.flow))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import GeneratorSpec, generate
+
     try:
-        spec = generate.GeneratorSpec(n=args.n, seed=args.seed, model=args.model)
+        spec = GeneratorSpec(n=args.n, seed=args.seed, model=args.model)
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    _write_output(args, graphs.serialize(generate.generate(spec)))
+    _write_output(args, serialize(generate(spec)))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import TraceStep, format_trace, outcome_to_doc, run
+
     g = _load_graph(args)
-    trace: list[simulate.TraceStep] | None = [] if args.trace else None
-    outcome = simulate.run(g, budget=args.budget, trace=trace)
+    trace: list[TraceStep] | None = [] if args.trace else None
+    outcome = run(g, budget=args.budget, trace=trace)
     lines = []
     if trace:
-        lines.append(simulate.format_trace(trace))
-    lines.append(_dumps(simulate.outcome_to_doc(outcome)))
+        lines.append(format_trace(trace))
+    lines.append(_dumps(outcome_to_doc(outcome)))
     _write_output(args, "\n".join(lines))
     return 0
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
+    from .simulate import decide_arrival
+
     g = _load_graph(args)
-    terminates = simulate.decide_arrival(g)
+    terminates = decide_arrival(g)
     if args.json:
         _write_output(args, _dumps({"terminates": terminates}))
     else:
@@ -98,67 +112,82 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    aug = reduction.augment(_load_graph(args))
-    _write_output(
-        args,
-        graphs.serialize(aug.h) + "\n" + _dumps(reduction.sidecar_doc(aug)),
-    )
+    from .reduction import augment, sidecar_doc
+
+    aug = augment(_load_graph(args))
+    _write_output(args, serialize(aug.h) + "\n" + _dumps(sidecar_doc(aug)))
     return 0
 
 
 def cmd_verify_flow(args: argparse.Namespace) -> int:
+    from .flows import report_doc, verify
+
     g = _load_graph(args)
     origin, dest, counts = _load_flow(args)
-    report = flows.verify(g, origin, dest, counts)
-    _write_output(args, _dumps(flows.report_doc(report)))
+    report = verify(g, origin, dest, counts)
+    _write_output(args, _dumps(report_doc(report)))
     return 0 if report.valid else 1
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
+    from .flows import complete, serialize_flow
+    from .reduction import augment
+
     g = _load_graph(args)
-    aug = reduction.augment(g)
+    aug = augment(g)
     origin, dest, counts = _load_flow(args)
     if origin != aug.o_bar:
         raise ValueError(
             f"flow origin must be the fresh origin {aug.o_bar}, found {origin}"
         )
-    completion = flows.complete(aug, dest, counts)
-    _write_output(
-        args, flows.serialize_flow(aug.o_bar, completion.reached, completion.flow)
-    )
+    completion = complete(aug, dest, counts)
+    _write_output(args, serialize_flow(aug.o_bar, completion.reached, completion.flow))
     return 0
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
+    from .local_search import (
+        LocalOptInstance,
+        hex_decode,
+        state_doc,
+        walk_localopt,
+        walk_trace,
+    )
+    from .reduction import augment
+
     g = _load_graph(args)
-    inst = local_search.LocalOptInstance(reduction.augment(g))
+    inst = LocalOptInstance(augment(g))
     if args.start == "reset":
         start = inst.reset
     else:
         try:
-            start = local_search.hex_decode(inst, args.start)
+            start = hex_decode(inst, args.start)
         except ValueError as e:
             raise _UsageError(f"--start: {e}") from None
-    result = local_search.walk_localopt(inst, start, budget=args.budget)
-    doc = local_search.state_doc(inst, result.solution)
+    result = walk_localopt(inst, start, budget=args.budget)
+    doc = state_doc(inst, result.solution)
     doc["steps"] = result.steps
     with _output(args) as out:
         if args.trace:
-            for step, state in enumerate(local_search.walk_trace(inst, start, result.steps)):
+            for step, state in enumerate(walk_trace(inst, start, result.steps)):
                 out.write(_dumps({"step": step, **state}) + "\n")
         out.write(_dumps(doc) + "\n")
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cert = local_search.solve_s_arrival(_load_graph(args))
-    _write_output(args, _dumps(local_search.certificate_doc(cert)))
+    from .local_search import certificate_doc, solve_s_arrival
+
+    cert = solve_s_arrival(_load_graph(args))
+    _write_output(args, _dumps(certificate_doc(cert)))
     return 0
 
 
-def _format_check_report(report: suite.CheckReport) -> str:
+def _format_check_report(report: CheckReport) -> str:
+    from .suite import FAMILIES
+
     lines = [f"instances: {report.instances}"]
-    lines += [f"{family}: {report.passed[family]} passed" for family in suite.FAMILIES]
+    lines += [f"{family}: {report.passed[family]} passed" for family in FAMILIES]
     if report.failure is None:
         lines.append("result: ok")
     else:
@@ -171,12 +200,14 @@ def _format_check_report(report: suite.CheckReport) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .suite import run_checks, self_test
+
     if args.n_max < 2:
         raise _UsageError(f"--n-max must be at least 2, got {args.n_max}")
     if args.count < 1:
         raise _UsageError(f"--count must be positive, got {args.count}")
     if args.self_test:
-        surfaced = suite.self_test(args.seed)
+        surfaced = self_test(args.seed)
         _write_output(
             args,
             "self-test: corruption surfaced"
@@ -184,7 +215,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             else "self-test: corruption went undetected",
         )
         return 0 if surfaced else 1
-    report = suite.run_checks(args.n_max, args.count, args.seed)
+    report = run_checks(args.n_max, args.count, args.seed)
     if args.json:
         _write_output(args, _dumps(report.to_doc()))
     else:
@@ -220,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[common], help="generate a seeded random graph")
     p.add_argument("--n", type=int, required=True, help="vertex count (>= 2)")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--model", choices=generate.MODELS, default="uniform")
+    p.add_argument("--model", choices=MODELS, default="uniform")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
@@ -315,13 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as e:
         print(f"cannot read or write file: {e}", file=sys.stderr)
         return 2
-    except (
-        graphs.GraphFormatError,
-        flows.CompletionError,
-        local_search.WalkError,
-        local_search.CertificateError,
-        ValueError,
-    ) as e:
+    except (SolverError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

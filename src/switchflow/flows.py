@@ -27,15 +27,15 @@ board with ``m`` vertices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import simulate as _sim
-from .graphs import EVEN, ODD, SwitchGraph, distances_to, slot_index, slot_of
-from .reduction import AugmentedInstance
+from .graphs import EVEN, ODD, SolverError, SwitchGraph, distances_to, slot_index, slot_of
+
+if TYPE_CHECKING:
+    from .reduction import AugmentedInstance
 
 
-class CompletionError(RuntimeError):
+class CompletionError(SolverError):
     """The completion run failed to reach a terminal; indicates a bug."""
 
 
@@ -51,8 +51,7 @@ class ParityViolation(NamedTuple):
     odd_count: int
 
 
-@dataclass(frozen=True)
-class FlowCheckReport:
+class FlowCheckReport(NamedTuple):
     conservation_violations: tuple[ConservationViolation, ...]
     parity_violations: tuple[ParityViolation, ...]
 
@@ -74,10 +73,11 @@ def verify(
         if not 0 <= v < n:
             raise ValueError(f"{name} out of range ({v} not in 0..{n - 1})")
 
+    even, odd = g.even, g.odd
     inflow = [0] * n
     for v in range(n):
-        inflow[g.even[v]] += counts[2 * v]
-        inflow[g.odd[v]] += counts[2 * v + 1]
+        inflow[even[v]] += counts[2 * v]
+        inflow[odd[v]] += counts[2 * v + 1]
 
     conservation = []
     parity = []
@@ -99,6 +99,11 @@ def verify(
     return FlowCheckReport(tuple(conservation), tuple(parity))
 
 
+def _heads(g: SwitchGraph) -> list[int]:
+    """The head of every slot, in slot order."""
+    return [w for pair in zip(g.even, g.odd) for w in pair]
+
+
 def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     """Per slot: shortest path length from the slot's head to ``dest``.
 
@@ -108,7 +113,7 @@ def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     if not 0 <= dest < g.n:
         raise ValueError(f"dest out of range ({dest} not in 0..{g.n - 1})")
     dist = distances_to(g, dest)
-    return tuple(dist[g.successor(si // 2, si % 2)] for si in range(2 * g.n))
+    return tuple(dist[w] for w in _heads(g))
 
 
 class Completion(NamedTuple):
@@ -134,6 +139,8 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     yields a switching flow to whichever terminal was reached; the
     result is re-verified before returning.
     """
+    from . import simulate as _sim
+
     h = aug.h
     if u == aug.o_bar:
         raise ValueError("cannot complete a flow ending at the fresh origin")
@@ -162,7 +169,7 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     reached = outcome.final_vertex
     y = outcome.profile
 
-    incoming = [y[si] for si in range(2 * h.n) if h.successor(si // 2, si % 2) == reached]
+    incoming = [y[si] for si, w in enumerate(_heads(h)) if w == reached]
     assert sum(incoming) == 1 and max(incoming) == 1, (
         "completion run must place exactly one unit on one incoming slot "
         f"of the reached terminal, found {incoming}"
@@ -184,8 +191,7 @@ class BoundViolation(NamedTuple):
     limit: int
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Hard violations fail the report; flags cover the slots of the
     reached terminal itself, which the ceiling argument leaves out."""
 
@@ -232,6 +238,7 @@ def check_bounds(
         zero_heads = {aug.source_dest}
     desp = desperation(h, reached)
 
+    o_bar = aug.o_bar
     violations = []
     flags = []
 
@@ -242,13 +249,13 @@ def check_bounds(
         else:
             violations.append(finding)
 
-    for si in range(2 * m):
+    for si, head in enumerate(_heads(h)):
         value = counts[si]
         if value >= ceiling:
             record("slot-ceiling", si, value, ceiling - 1)
-        if si // 2 == aug.o_bar and value > 1:
+        if si // 2 == o_bar and value > 1:
             record("fresh-origin", si, value, 1)
-        if h.successor(si // 2, si % 2) in zero_heads and value != 0:
+        if head in zero_heads and value != 0:
             record("drained-region", si, value, 0)
         k = desp[si]
         if k is not None and value > (1 << (k + 1)) - 1:

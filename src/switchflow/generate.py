@@ -18,27 +18,31 @@ By convention the origin is vertex 0 and the destination is ``n - 1``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graphs import SwitchGraph
-
-MODELS = ("uniform", "layered")
+from .graphs import MODELS, SwitchGraph
 
 # Probability that a layered-model slot points strictly forward.
 _FORWARD_BIAS = 0.75
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class _Spec(NamedTuple):
     n: int
     seed: int
-    model: str = "uniform"
+    model: str
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need at least 2 vertices (origin != dest), got {self.n}")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
+
+class GeneratorSpec(_Spec):
+    """Everything an instance is rebuilt from; validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, seed: int, model: str = "uniform") -> "GeneratorSpec":
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices (origin != dest), got {n}")
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+        return super().__new__(cls, n, seed, model)
 
 
 def generate(spec: GeneratorSpec) -> SwitchGraph:

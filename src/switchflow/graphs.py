@@ -22,13 +22,17 @@ so that malformed records can be built and inspected in tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 EVEN = 0
 ODD = 1
 
 PARITY_NAMES = ("even", "odd")
+
+# The seeded instance models of :mod:`switchflow.generate`.  They live in
+# this always-loaded module so that the command line can offer them
+# without importing the generator.
+MODELS = ("uniform", "layered")
 
 # JSON schema: fixed key order, "labels" optional.
 _REQUIRED_KEYS = ("n", "origin", "dest", "even", "odd")
@@ -37,6 +41,12 @@ _ALL_KEYS = _REQUIRED_KEYS + ("labels",)
 
 class GraphFormatError(ValueError):
     """Malformed or invalid graph document; message includes the position."""
+
+
+class SolverError(RuntimeError):
+    """Base of the errors raised when a completion, a walk or a
+    certificate extraction fails; the command line reports each one as a
+    content error."""
 
 
 class EdgeSlot(NamedTuple):
@@ -58,8 +68,7 @@ def slot_of(index: int) -> EdgeSlot:
     return EdgeSlot(index // 2, index % 2)
 
 
-@dataclass(frozen=True, slots=True)
-class SwitchGraph:
+class SwitchGraph(NamedTuple):
     """A switch graph plus the origin/destination of the token run.
 
     ``even[v]`` / ``odd[v]`` are the two successors of vertex ``v``;
@@ -91,18 +100,18 @@ class SwitchGraph:
 
     def with_route(self, origin: int | None = None, dest: int | None = None) -> "SwitchGraph":
         """Same board, different origin/dest."""
-        return replace(
-            self,
+        return self._replace(
             origin=self.origin if origin is None else origin,
             dest=self.dest if dest is None else dest,
         )
 
     def predecessor_slots(self) -> list[list[int]]:
         """For each vertex, the slot indices whose head it is."""
+        even, odd = self.even, self.odd
         preds: list[list[int]] = [[] for _ in range(self.n)]
         for v in range(self.n):
-            preds[self.even[v]].append(slot_index(v, EVEN))
-            preds[self.odd[v]].append(slot_index(v, ODD))
+            preds[even[v]].append(2 * v + EVEN)
+            preds[odd[v]].append(2 * v + ODD)
         return preds
 
 
@@ -121,19 +130,20 @@ def graph(n: int, even, odd, origin: int, dest: int, labels=None) -> SwitchGraph
 def validate(g: SwitchGraph) -> list[str]:
     """Return every invariant violation; an empty list means the graph is valid."""
     violations = []
-    if g.n < 1:
-        violations.append(f"n: vertex count must be positive, found {g.n}")
+    n = g.n
+    if n < 1:
+        violations.append(f"n: vertex count must be positive, found {n}")
         return violations
     for name, succ in (("even", g.even), ("odd", g.odd)):
-        if len(succ) != g.n:
+        if len(succ) != n:
             violations.append(
-                f"{name}: bad vertex count, expected {g.n} successors, found {len(succ)}"
+                f"{name}: bad vertex count, expected {n} successors, found {len(succ)}"
             )
             continue
         for v, w in enumerate(succ):
-            if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < g.n:
+            if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < n:
                 violations.append(
-                    f"{name}[{v}]: successor out of range ({w!r} not in 0..{g.n - 1})"
+                    f"{name}[{v}]: successor out of range ({w!r} not in 0..{n - 1})"
                 )
     for name, v in (("origin", g.origin), ("dest", g.dest)):
         if not 0 <= v < g.n:

@@ -20,14 +20,12 @@ local-search layers build on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import simulate as _sim
 from .graphs import SwitchGraph, require_valid, reverse_reachable
 
 
-@dataclass(frozen=True)
-class AugmentedInstance:
+class AugmentedInstance(NamedTuple):
     """The augmented board plus the bookkeeping of its construction.
 
     ``h`` keeps the original vertex ids, with ``o_bar = n`` and
@@ -56,16 +54,16 @@ class AugmentedInstance:
 def augment(g: SwitchGraph) -> AugmentedInstance:
     """Build the augmented board. Deterministic and structure-preserving."""
     require_valid(g)
-    n = g.n
+    n, dest = g.n, g.dest
     o_bar, d_bar = n, n + 1
-    x_d = frozenset(range(n)) - reverse_reachable(g, g.dest)
+    x_d = frozenset(range(n)) - reverse_reachable(g, dest)
 
     even = list(g.even) + [g.origin, d_bar]
     odd = list(g.odd) + [g.origin, d_bar]
     # Case table, applied verbatim even when the origin lies in the
     # unreachable region (the run is then trivially convergent on d_bar).
     for v in range(n):
-        if v == g.dest:
+        if v == dest:
             even[v] = odd[v] = v
         elif v in x_d:
             even[v] = odd[v] = d_bar
@@ -84,8 +82,7 @@ def augment(g: SwitchGraph) -> AugmentedInstance:
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Verdicts of the three decision instances and whether they agree."""
 
     g_terminates: bool
@@ -106,6 +103,8 @@ def check_duality(g: SwitchGraph) -> DualityReport:
     A failing report falsifies the augmentation's duality and indicates
     a library bug, never a property of the input.
     """
+    from . import simulate as _sim
+
     aug = augment(g)
     return DualityReport(
         g_terminates=_sim.decide_arrival(g),

@@ -27,11 +27,11 @@ are exact at any magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .graphs import EVEN, ODD, SwitchGraph, require_valid, reverse_reachable
+
 
 class Verdict(str, Enum):
     TERMINATED = "terminated"
@@ -39,8 +39,7 @@ class Verdict(str, Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A repeated (vertex, switches) state and the two steps it occurred at."""
 
     vertex: int
@@ -49,8 +48,7 @@ class CycleWitness:
     second_step: int
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     verdict: Verdict
     profile: tuple[int, ...]
     steps: int
@@ -100,48 +98,16 @@ def simulate(
     target_set = frozenset({g.dest} if targets is None else targets)
     if budget is None:
         budget = default_budget(n)
-    v = first_v = g.origin if start is None else start
-    sw = switches
+    first_v = g.origin if start is None else start
     profile = [0] * (2 * n)
-    steps = 0
-    even, odd = g.even, g.odd
-    # Brent's cycle detection: each state is compared with the anchor, the
-    # state at the last power-of-two step.  A state before the cycle never
-    # recurs, so the first match gives the cycle length exactly.  From
-    # step 2n on, each anchor also keeps a copy of the profile (``anchor``,
-    # and ``back`` for the one before), from which the first repeat is
-    # sought instead of from the start; below 2n steps the copies would
-    # cost more than stepping again.
-    anchor_v, anchor_sw, anchor_step = v, sw, 0
-    back = anchor = None
-
-    while v not in target_set:
-        if steps >= budget:
-            # A repeat that closed unseen by the anchors has this state on its cycle.
-            cycle = _return_time(g, v, sw, target_set, budget) if detect_cycles else None
-            back, horizon = anchor, steps
-            break
-        bit = 1 << v
-        parity = ODD if sw & bit else EVEN
-        w = odd[v] if parity else even[v]
-        profile[2 * v + parity] += 1
-        sw ^= bit
-        if trace is not None:
-            trace.append(TraceStep(steps, v, parity, w))
-        v = w
-        steps += 1
-        if detect_cycles:
-            if v == anchor_v and sw == anchor_sw:
-                cycle = steps - anchor_step
-                horizon = anchor_step
-                break
-            if not steps & (steps - 1):
-                anchor_v, anchor_sw, anchor_step = v, sw, steps
-                if steps >= 2 * n:
-                    back, anchor = anchor, (v, sw, steps, profile[:])
-    else:
+    steps, v, sw, cycle, horizon, back = _step(
+        g, first_v, switches, profile, target_set, budget, detect_cycles, trace
+    )
+    if v in target_set:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
-
+    if cycle is None and detect_cycles:
+        # A repeat that closed unseen by the anchors has this state on its cycle.
+        cycle = _return_time(g, v, sw, target_set, budget)
     if cycle is not None:
         # ``back`` was the anchor through step ``horizon``: had it lain on
         # the cycle, it would have matched by then if the cycle fits
@@ -156,14 +122,68 @@ def simulate(
     return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(profile), steps, v)
 
 
+def _step(
+    g: SwitchGraph,
+    v: int,
+    sw: int,
+    profile: list[int],
+    targets: frozenset[int],
+    budget: int,
+    detect_cycles: bool,
+    trace: list[TraceStep] | None,
+) -> tuple[int, int, int, int | None, int, tuple | None]:
+    """Step the token from state (v, sw), counting departures into
+    ``profile``, until a target, the first Brent match, or the budget.
+
+    Returns the steps taken, the state reached, the cycle length (None
+    unless a match stopped the run, which never happens at a target), and
+    for locating the first repeat: the step ``horizon`` through which the
+    anchor ``back = (vertex, switches, step, profile)`` was compared, or
+    None when no anchor kept a profile.
+
+    Brent's cycle detection: each state is compared with the anchor, the
+    state at the last power-of-two step.  A state before the cycle never
+    recurs, so the first match gives the cycle length exactly.  From
+    step 2n on, each anchor also keeps a copy of the profile (``anchor``,
+    and ``back`` for the one before), from which the first repeat is
+    sought instead of from the start; below 2n steps the copies would
+    cost more than stepping again."""
+    two_n = len(profile)
+    even, odd = g.even, g.odd
+    steps = 0
+    anchor_v, anchor_sw, anchor_step = v, sw, 0
+    back = anchor = None
+    while v not in targets:
+        if steps >= budget:
+            return steps, v, sw, None, steps, anchor
+        bit = 1 << v
+        parity = ODD if sw & bit else EVEN
+        w = odd[v] if parity else even[v]
+        profile[2 * v + parity] += 1
+        sw ^= bit
+        if trace is not None:
+            trace.append(TraceStep(steps, v, parity, w))
+        v = w
+        steps += 1
+        if detect_cycles:
+            if v == anchor_v and sw == anchor_sw:
+                return steps, v, sw, steps - anchor_step, anchor_step, back
+            if not steps & (steps - 1):
+                anchor_v, anchor_sw, anchor_step = v, sw, steps
+                if steps >= two_n:
+                    back, anchor = anchor, (v, sw, steps, profile[:])
+    return steps, v, sw, None, steps, back
+
+
 def _return_time(
     g: SwitchGraph, v: int, sw: int, targets: frozenset[int], limit: int
 ) -> int | None:
     """Steps until the state (v, sw) recurs, if within ``limit`` and before any target."""
+    even, odd = g.even, g.odd
     w, w_sw = v, sw
     for k in range(1, limit + 1):
         bit = 1 << w
-        w = g.odd[w] if w_sw & bit else g.even[w]
+        w = odd[w] if w_sw & bit else even[w]
         w_sw ^= bit
         if w == v and w_sw == sw:
             return k
@@ -238,12 +258,19 @@ def decide_arrival(g: SwitchGraph) -> bool:
     batched passes (:func:`_multirun`) and trusted only once
     ``flows.verify`` accepts its profile; otherwise it is stepped."""
     require_valid(g)
-    outcome = simulate(g, budget=4 * g.n)
-    if outcome.verdict is Verdict.BUDGET_EXHAUSTED:
-        stops = set(range(g.n)) - reverse_reachable(g, g.dest) | {g.dest}
-        outcome = _multirun(g, stops) or simulate(g, targets=stops, detect_cycles=False)
-        assert outcome.verdict is Verdict.TERMINATED
-    return outcome.verdict is Verdict.TERMINATED and outcome.final_vertex == g.dest
+    n, dest = g.n, g.dest
+    _, v, _, cycle, _, _ = _step(
+        g, g.origin, 0, [0] * (2 * n), frozenset((dest,)), 4 * n,
+        detect_cycles=True, trace=None,
+    )
+    if v == dest:
+        return True
+    if cycle is not None:
+        return False
+    stops = set(range(n)) - reverse_reachable(g, dest) | {dest}
+    outcome = _multirun(g, stops) or simulate(g, targets=stops, detect_cycles=False)
+    assert outcome.verdict is Verdict.TERMINATED
+    return outcome.final_vertex == dest
 
 
 def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
@@ -331,14 +358,15 @@ def _feedback_vertex(g: SwitchGraph, vertices: set[int]) -> tuple[int, list[int]
 def _topological_order(g: SwitchGraph, vertices: set[int]) -> tuple[list[int], set[int]]:
     """Kahn's order of the vertices not downstream of a cycle within
     ``vertices``, and the set of the others."""
+    even, odd = g.even, g.odd
     indegree = dict.fromkeys(vertices, 0)
     for v in vertices:
-        for w in (g.even[v], g.odd[v]):
+        for w in (even[v], odd[v]):
             if w in indegree:
                 indegree[w] += 1
     order = [v for v in vertices if not indegree[v]]
     for v in order:  # the list grows as it is read
-        for w in (g.even[v], g.odd[v]):
+        for w in (even[v], odd[v]):
             if w in indegree:
                 indegree[w] -= 1
                 if not indegree[w]:

@@ -25,12 +25,11 @@ one (``self_test``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from . import flows, local_search, simulate
 from .generate import GeneratorSpec, generate, instance_stream
-from .graphs import SwitchGraph, serialize
+from .graphs import SolverError, SwitchGraph, serialize
 from .reduction import augment, check_duality
 
 FAMILIES = ("duality", "prefix-flows", "completion", "trace-equivalence")
@@ -43,11 +42,22 @@ class CheckFailure(NamedTuple):
     detail: str
 
 
-@dataclass
 class CheckReport:
-    instances: int = 0
-    passed: dict[str, int] = field(default_factory=lambda: {f: 0 for f in FAMILIES})
-    failure: CheckFailure | None = None
+    """Counts per check family, filled in as the suite runs."""
+
+    def __init__(self) -> None:
+        self.instances = 0
+        self.passed = {f: 0 for f in FAMILIES}
+        self.failure: CheckFailure | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckReport):
+            return NotImplemented
+        return (self.instances, self.passed, self.failure) == (
+            other.instances,
+            other.passed,
+            other.failure,
+        )
 
     @property
     def ok(self) -> bool:
@@ -107,7 +117,7 @@ def _check_instance(
     cutoffs: int,
 ) -> None:
     aug = augment(g)
-    h = aug.h
+    h, o_bar = aug.h, aug.o_bar
 
     duality = check_duality(g)
     _require(
@@ -122,7 +132,7 @@ def _check_instance(
     # first; every prefix must verify as a flow to the current vertex.
     states = prefix_states(h, targets=aug.terminals)
     for t, st in enumerate(states):
-        rep = verify(h, aug.o_bar, st.vertex, st.profile)
+        rep = verify(h, o_bar, st.vertex, st.profile)
         _require(
             rep.valid,
             "prefix-flows",
@@ -146,7 +156,7 @@ def _check_instance(
             f"cutoff t={t}: completion reached {got.reached}, "
             f"expected the full run profile to {reached}",
         )
-        rep = verify(h, aug.o_bar, got.reached, got.flow)
+        rep = verify(h, o_bar, got.reached, got.flow)
         _require(rep.valid, "completion", f"completed flow failed: {rep}")
         zeroed = {2 * v + p for v in (aug.source_dest, aug.d_bar) for p in (0, 1)}
         _require(
@@ -223,8 +233,7 @@ def run_checks(
         except _Falsified as f:
             report.failure = CheckFailure(f.family, spec, serialize(g), f.detail)
             break
-        except (AssertionError, flows.CompletionError, local_search.WalkError,
-                local_search.CertificateError, ValueError) as e:
+        except (AssertionError, SolverError, ValueError) as e:
             report.failure = CheckFailure("internal", spec, serialize(g), repr(e))
             break
     return report

@@ -277,6 +277,11 @@ def test_flow_document_round_trip():
     assert parse_flow(text) == (2, 1, (1, 0, 0, 0, 1, 0, 0, 0))
 
 
+@given(st.integers(), st.integers(), st.lists(st.integers()))
+def test_flow_document_round_trip_property(origin, dest, counts):
+    assert parse_flow(serialize_flow(origin, dest, counts)) == (origin, dest, tuple(counts))
+
+
 def test_parse_flow_rejects_malformed_documents():
     with pytest.raises(ValueError, match="line 1 column"):
         parse_flow("{nope")

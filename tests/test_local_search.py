@@ -148,6 +148,11 @@ def test_hex_round_trip():
     assert hex_decode(INST1, hex_encode(INST1, T1_SOLUTION)) == T1_SOLUTION
 
 
+@given(t1_states())
+def test_hex_round_trip_property(state):
+    assert hex_decode(INST1, hex_encode(INST1, state)) == state
+
+
 def test_hex_decode_rejects_malformed_input():
     with pytest.raises(ValueError, match="11 hex digits"):
         hex_decode(INST1, "20")

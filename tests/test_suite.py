@@ -85,6 +85,7 @@ def test_reimporting_the_package_releases_the_old_modules():
             for name in [k for k in sys.modules if k.split(".")[0] == "switchflow"]:
                 del sys.modules[name]
             importlib.import_module("switchflow.cli")
+            importlib.import_module("switchflow.simulate")
 
         fresh_import()
         old = weakref.ref(sys.modules["switchflow.simulate"])
