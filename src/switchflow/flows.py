@@ -99,11 +99,6 @@ def verify(
     return FlowCheckReport(tuple(conservation), tuple(parity))
 
 
-def _heads(g: SwitchGraph) -> list[int]:
-    """The head of every slot, in slot order."""
-    return [w for pair in zip(g.even, g.odd) for w in pair]
-
-
 def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     """Per slot: shortest path length from the slot's head to ``dest``.
 
@@ -113,7 +108,7 @@ def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     if not 0 <= dest < g.n:
         raise ValueError(f"dest out of range ({dest} not in 0..{g.n - 1})")
     dist = distances_to(g, dest)
-    return tuple(dist[w] for w in _heads(g))
+    return tuple(dist[w] for w in g.heads())
 
 
 class Completion(NamedTuple):
@@ -156,10 +151,7 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     if u in (aug.source_dest, aug.d_bar):
         return Completion(u, tuple(x))
 
-    switches = 0
-    for v in range(h.n):
-        if x[2 * v] - x[2 * v + 1] == 1:
-            switches |= 1 << v
+    switches = sum(1 << v for v in range(h.n) if x[2 * v] - x[2 * v + 1] == 1)
     outcome = _sim.simulate(h, start=u, switches=switches, targets=aug.terminals)
     if outcome.verdict is not _sim.Verdict.TERMINATED:
         raise CompletionError(
@@ -169,7 +161,7 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     reached = outcome.final_vertex
     y = outcome.profile
 
-    incoming = [y[si] for si, w in enumerate(_heads(h)) if w == reached]
+    incoming = [y[si] for si, w in enumerate(h.heads()) if w == reached]
     assert sum(incoming) == 1 and max(incoming) == 1, (
         "completion run must place exactly one unit on one incoming slot "
         f"of the reached terminal, found {incoming}"
@@ -249,7 +241,7 @@ def check_bounds(
         else:
             violations.append(finding)
 
-    for si, head in enumerate(_heads(h)):
+    for si, head in enumerate(h.heads()):
         value = counts[si]
         if value >= ceiling:
             record("slot-ceiling", si, value, ceiling - 1)
@@ -301,10 +293,7 @@ def report_doc(report: FlowCheckReport) -> dict:
     """JSON-ready dict for a verification report."""
     return {
         "valid": report.valid,
-        "conservation_violations": [
-            {"vertex": v.vertex, "found": v.found, "required": v.required}
-            for v in report.conservation_violations
-        ],
+        "conservation_violations": [v._asdict() for v in report.conservation_violations],
         "parity_violations": [
             {"vertex": v.vertex, "even": v.even_count, "odd": v.odd_count}
             for v in report.parity_violations

@@ -105,6 +105,12 @@ class SwitchGraph(NamedTuple):
             dest=self.dest if dest is None else dest,
         )
 
+    def heads(self) -> list[int]:
+        """The head of every slot, in slot order."""
+        heads = [0] * (2 * self.n)
+        heads[0::2], heads[1::2] = self.even, self.odd
+        return heads
+
     def predecessor_slots(self) -> list[list[int]]:
         """For each vertex, the slot indices whose head it is."""
         even, odd = self.even, self.odd
@@ -129,31 +135,31 @@ def graph(n: int, even, odd, origin: int, dest: int, labels=None) -> SwitchGraph
 
 def validate(g: SwitchGraph) -> list[str]:
     """Return every invariant violation; an empty list means the graph is valid."""
-    violations = []
-    n = g.n
+    n, even, odd, origin, dest, labels = g
     if n < 1:
-        violations.append(f"n: vertex count must be positive, found {n}")
-        return violations
-    for name, succ in (("even", g.even), ("odd", g.odd)):
-        if len(succ) != n:
-            violations.append(
-                f"{name}: bad vertex count, expected {n} successors, found {len(succ)}"
-            )
-            continue
-        for v, w in enumerate(succ):
-            if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < n:
+        return [f"n: vertex count must be positive, found {n}"]
+    violations = []
+    succ = (*even, *odd)
+    plain = len(even) == len(odd) == n and {*map(type, succ)} == {int}
+    if not (plain and 0 <= min(succ) and max(succ) < n):  # else name each bad entry
+        for name, succ in (("even", even), ("odd", odd)):
+            if len(succ) != n:
                 violations.append(
-                    f"{name}[{v}]: successor out of range ({w!r} not in 0..{n - 1})"
+                    f"{name}: bad vertex count, expected {n} successors, found {len(succ)}"
                 )
-    for name, v in (("origin", g.origin), ("dest", g.dest)):
-        if not 0 <= v < g.n:
-            violations.append(f"{name}: vertex out of range ({v} not in 0..{g.n - 1})")
-    if g.origin == g.dest:
+                continue
+            for v, w in enumerate(succ):
+                if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < n:
+                    violations.append(
+                        f"{name}[{v}]: successor out of range ({w!r} not in 0..{n - 1})"
+                    )
+    for name, v in (("origin", origin), ("dest", dest)):
+        if not 0 <= v < n:
+            violations.append(f"{name}: vertex out of range ({v} not in 0..{n - 1})")
+    if origin == dest:
         violations.append("origin equals dest")
-    if g.labels is not None and len(g.labels) != g.n:
-        violations.append(
-            f"labels: bad vertex count, expected {g.n} labels, found {len(g.labels)}"
-        )
+    if labels is not None and len(labels) != n:
+        violations.append(f"labels: bad vertex count, expected {n} labels, found {len(labels)}")
     return violations
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import flows as _flows
-from .graphs import SolverError, SwitchGraph, require_valid
+from .graphs import SolverError, SwitchGraph
 from .reduction import AugmentedInstance, augment
 
 TERMINATION = "termination"
@@ -242,7 +242,6 @@ def solve_s_arrival(g: SwitchGraph, budget: int | None = None) -> Certificate:
     verdict of ``g``: a termination witness iff the run reaches its
     destination.
     """
-    require_valid(g)
     inst = LocalOptInstance(augment(g))
     solution, _ = walk_localopt(inst, budget=budget)
     return extract_certificate(inst, solution)

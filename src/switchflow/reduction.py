@@ -106,10 +106,10 @@ def check_duality(g: SwitchGraph) -> DualityReport:
     from . import simulate as _sim
 
     aug = augment(g)
-    return DualityReport(
-        g_terminates=_sim.decide_arrival(g),
-        to_dest_terminates=_sim.decide_arrival(aug.to_dest()),
-        to_dbar_terminates=_sim.decide_arrival(aug.to_dbar()),
+    return DualityReport(  # ``augment`` validated g and built both boards valid
+        g_terminates=_sim._decide(g),
+        to_dest_terminates=_sim._decide(aug.to_dest()),
+        to_dbar_terminates=_sim._decide(aug.to_dbar()),
     )
 
 

@@ -5,10 +5,13 @@ even successor.  Each step departs the current vertex through the slot
 its switch points at, toggles that switch, and moves to the slot's head.
 The run terminates when the destination is reached.
 
-All switch positions are packed into one integer bitmask (bit ``v`` set
-means vertex ``v`` departs through its odd successor next), so a full
-simulation state is the pair (vertex, switches) and the graph itself is
-never mutated.  The state space has size ``n * 2**n``, so either the
+Switch positions live in a slot table, per vertex the slot (``2v`` or
+``2v + 1``) it departs through next: a step counts that slot, flips the
+entry to its sibling and moves to the slot's head, so no step builds an
+integer wider than a slot index, and the graph is never mutated.  The
+public records give the table as a switch word, bit ``v`` set where
+``v`` departs odd next.  A full simulation state is the pair (vertex,
+table) and the state space has size ``n * 2**n``, so either the
 destination is reached or some state repeats.  Repeats are found by
 Brent's cycle detection, which keeps one earlier state instead of every
 visited one, so runs need O(n) memory at any ``n``.
@@ -28,9 +31,9 @@ are exact at any magnitude.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
-from .graphs import EVEN, ODD, SwitchGraph, require_valid, reverse_reachable
+from .graphs import SwitchGraph, require_valid, reverse_reachable
 
 
 class Verdict(str, Enum):
@@ -95,97 +98,103 @@ def simulate(
     assumed valid.  ``detect_cycles=False`` ignores repeated states.
     """
     n = g.n
-    target_set = frozenset({g.dest} if targets is None else targets)
+    target_set = (g.dest,) if targets is None else frozenset(targets)
     if budget is None:
         budget = default_budget(n)
     first_v = g.origin if start is None else start
+    heads = g.heads()
+    nxt = _departures(n, switches)
     profile = [0] * (2 * n)
-    steps, v, sw, cycle, horizon, back = _step(
-        g, first_v, switches, profile, target_set, budget, detect_cycles, trace
+    steps, v, cycle, horizon, back = _step(
+        heads, first_v, nxt, profile, target_set, budget, detect_cycles, trace
     )
     if v in target_set:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
     if cycle is None and detect_cycles:
         # A repeat that closed unseen by the anchors has this state on its cycle.
-        cycle = _return_time(g, v, sw, target_set, budget)
+        cycle = _return_time(heads, v, nxt, target_set, budget)
     if cycle is not None:
         # ``back`` was the anchor through step ``horizon``: had it lain on
         # the cycle, it would have matched by then if the cycle fits
         if back is None or back[2] + cycle > horizon:
-            back = (first_v, switches, 0, [0] * (2 * n))
-        mu, v_mu, sw_mu, profile_mu = _first_repeat(g, back, cycle)
+            back = (first_v, _departures(n, switches), 0, [0] * (2 * n))
+        mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, back, cycle)
         if mu + cycle <= budget:
             if trace is not None:
                 del trace[len(trace) - steps + mu + cycle:]
+            sw_mu = sum(1 << u for u, s in enumerate(nxt_mu) if s & 1)  # the switch word
             witness = CycleWitness(v_mu, sw_mu, mu, mu + cycle)
             return RunOutcome(Verdict.NON_TERMINATING, profile_mu, mu + cycle, v_mu, witness)
     return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(profile), steps, v)
 
 
+def _departures(n: int, sw: int) -> list[int]:
+    """The slot table of the switch word ``sw``; bits from ``n`` up are unused."""
+    return [2 * v + (sw >> v & 1) for v in range(n)] if sw else list(range(0, 2 * n, 2))
+
+
 def _step(
-    g: SwitchGraph,
+    heads: list[int],
     v: int,
-    sw: int,
+    nxt: list[int],
     profile: list[int],
-    targets: frozenset[int],
+    targets: Container[int],
     budget: int,
     detect_cycles: bool,
     trace: list[TraceStep] | None,
-) -> tuple[int, int, int, int | None, int, tuple | None]:
-    """Step the token from state (v, sw), counting departures into
-    ``profile``, until a target, the first Brent match, or the budget.
+) -> tuple[int, int, int | None, int, tuple | None]:
+    """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
+    counting departures into ``profile``, until a target, the first Brent
+    match, or the budget.
 
-    Returns the steps taken, the state reached, the cycle length (None
+    Returns the steps taken, the vertex reached, the cycle length (None
     unless a match stopped the run, which never happens at a target), and
     for locating the first repeat: the step ``horizon`` through which the
-    anchor ``back = (vertex, switches, step, profile)`` was compared, or
-    None when no anchor kept a profile.
+    anchor ``back = (vertex, nxt, step, profile)`` was compared, or None
+    when no anchor kept a profile.
 
     Brent's cycle detection: each state is compared with the anchor, the
-    state at the last power-of-two step.  A state before the cycle never
-    recurs, so the first match gives the cycle length exactly.  From
-    step 2n on, each anchor also keeps a copy of the profile (``anchor``,
-    and ``back`` for the one before), from which the first repeat is
-    sought instead of from the start; below 2n steps the copies would
-    cost more than stepping again."""
+    state at the last power-of-two step from step 2 on (a step flips a
+    switch, so no state recurs a step later), by table only where the
+    vertices agree.  A state before the cycle never recurs, so the first
+    match gives the cycle length exactly.  From step 2n on, each anchor
+    also keeps a copy of the profile (``anchor``, and ``back`` for the one
+    before), from which the first repeat is sought instead of from the
+    start; below 2n steps the copies would cost more than stepping again."""
     two_n = len(profile)
-    even, odd = g.even, g.odd
     steps = 0
-    anchor_v, anchor_sw, anchor_step = v, sw, 0
+    anchor_v, anchor_nxt, anchor_step = -1, None, 0
     back = anchor = None
     while v not in targets:
         if steps >= budget:
-            return steps, v, sw, None, steps, anchor
-        bit = 1 << v
-        parity = ODD if sw & bit else EVEN
-        w = odd[v] if parity else even[v]
-        profile[2 * v + parity] += 1
-        sw ^= bit
+            return steps, v, None, steps, anchor
+        s = nxt[v]
+        profile[s] += 1
+        nxt[v] = s ^ 1
         if trace is not None:
-            trace.append(TraceStep(steps, v, parity, w))
-        v = w
+            trace.append(TraceStep(steps, v, s & 1, heads[s]))
+        v = heads[s]
         steps += 1
         if detect_cycles:
-            if v == anchor_v and sw == anchor_sw:
-                return steps, v, sw, steps - anchor_step, anchor_step, back
-            if not steps & (steps - 1):
-                anchor_v, anchor_sw, anchor_step = v, sw, steps
+            if v == anchor_v and nxt == anchor_nxt:
+                return steps, v, steps - anchor_step, anchor_step, back
+            if not steps & (steps - 1) and steps > 1:
+                anchor_v, anchor_nxt, anchor_step = v, nxt[:], steps
                 if steps >= two_n:
-                    back, anchor = anchor, (v, sw, steps, profile[:])
-    return steps, v, sw, None, steps, back
+                    back, anchor = anchor, (v, anchor_nxt, steps, profile[:])
+    return steps, v, None, steps, back
 
 
 def _return_time(
-    g: SwitchGraph, v: int, sw: int, targets: frozenset[int], limit: int
+    heads: list[int], v: int, nxt: list[int], targets: Container[int], limit: int
 ) -> int | None:
-    """Steps until the state (v, sw) recurs, if within ``limit`` and before any target."""
-    even, odd = g.even, g.odd
-    w, w_sw = v, sw
+    """Steps until the state (v, nxt) recurs, if within ``limit`` and before any target."""
+    w, w_nxt = v, nxt[:]
     for k in range(1, limit + 1):
-        bit = 1 << w
-        w = odd[w] if w_sw & bit else even[w]
-        w_sw ^= bit
-        if w == v and w_sw == sw:
+        s = w_nxt[w]
+        w_nxt[w] = s ^ 1
+        w = heads[s]
+        if w == v and w_nxt == nxt:
             return k
         if w in targets:
             return None
@@ -193,29 +202,27 @@ def _return_time(
 
 
 def _first_repeat(
-    g: SwitchGraph, start: tuple[int, int, int, list[int]], cycle: int
-) -> tuple[int, int, int, tuple[int, ...]]:
+    heads: list[int], start: tuple[int, list[int], int, list[int]], cycle: int
+) -> tuple[int, int, list[int], tuple[int, ...]]:
     """Where the run first repeats, given its cycle length and a state
-    ``start = (vertex, switches, step, profile)`` it passed at or before
+    ``start = (vertex, table, step, profile)`` it passed at or before
     that repeat: a lead token ``cycle`` steps ahead of a trailing one
     from there first shares its state at step mu.  Returns mu, that
-    state and the lead's profile, which grows in place from ``start``'s."""
-    even, odd = g.even, g.odd
-    v, sw, base, profile = start
-    lead_v, lead_sw = v, sw
+    state and the lead's profile; ``start``'s lists are stepped in place."""
+    v, nxt, base, profile = start
+    lead_v, lead_nxt = v, nxt[:]
     steps = 0
-    while steps < cycle or lead_v != v or lead_sw != sw:
-        bit = 1 << lead_v
-        parity = ODD if lead_sw & bit else EVEN
-        profile[2 * lead_v + parity] += 1
-        lead_sw ^= bit
-        lead_v = odd[lead_v] if parity else even[lead_v]
+    while steps < cycle or lead_v != v or lead_nxt != nxt:
+        s = lead_nxt[lead_v]
+        profile[s] += 1
+        lead_nxt[lead_v] = s ^ 1
+        lead_v = heads[s]
         if steps >= cycle:
-            bit = 1 << v
-            v = odd[v] if sw & bit else even[v]
-            sw ^= bit
+            s = nxt[v]
+            nxt[v] = s ^ 1
+            v = heads[s]
         steps += 1
-    return base + steps - cycle, v, sw, tuple(profile)
+    return base + steps - cycle, v, nxt, tuple(profile)
 
 
 def run(
@@ -258,15 +265,18 @@ def decide_arrival(g: SwitchGraph) -> bool:
     batched passes (:func:`_multirun`) and trusted only once
     ``flows.verify`` accepts its profile; otherwise it is stepped."""
     require_valid(g)
+    return _decide(g)
+
+
+def _decide(g: SwitchGraph) -> bool:
+    """:func:`decide_arrival` on a graph known to be valid."""
     n, dest = g.n, g.dest
-    _, v, _, cycle, _, _ = _step(
-        g, g.origin, 0, [0] * (2 * n), frozenset((dest,)), 4 * n,
-        detect_cycles=True, trace=None,
+    _, v, cycle, _, _ = _step(
+        g.heads(), g.origin, list(range(0, 2 * n, 2)), [0] * (2 * n),
+        (dest,), 4 * n, detect_cycles=True, trace=None,
     )
-    if v == dest:
-        return True
-    if cycle is not None:
-        return False
+    if v == dest or cycle is not None:  # arrived, or repeated before arriving
+        return v == dest
     stops = set(range(n)) - reverse_reachable(g, dest) | {dest}
     outcome = _multirun(g, stops) or simulate(g, targets=stops, detect_cycles=False)
     assert outcome.verdict is Verdict.TERMINATED
@@ -405,11 +415,5 @@ def outcome_to_doc(outcome: RunOutcome) -> dict:
         "profile": list(outcome.profile),
     }
     if outcome.cycle_witness is not None:
-        w = outcome.cycle_witness
-        doc["cycle_witness"] = {
-            "vertex": w.vertex,
-            "switches": w.switches,
-            "first_step": w.first_step,
-            "second_step": w.second_step,
-        }
+        doc["cycle_witness"] = outcome.cycle_witness._asdict()
     return doc

@@ -6,7 +6,7 @@ closed pair that can never reach the destination (T3).
 
 The oracles here are deliberately written with different algorithms and
 data structures than the library (closure matrix instead of reverse BFS,
-rotor deques instead of a switch bitmask, relaxation instead of BFS
+rotor deques instead of a slot table, relaxation instead of BFS
 levels), so agreement is evidence rather than tautology.
 """
 
@@ -85,6 +85,20 @@ def random_graph(rng: random.Random, n: int) -> SwitchGraph:
         0,
         n - 1,
     )
+
+
+def random_trap_graph(rng: random.Random, n: int) -> SwitchGraph:
+    """Random successors around a closed trap of one to six vertices: the
+    trap's slots stay inside it, and each other slot enters it with
+    probability 0.3, so most runs reach it soon and then repeat a state
+    within a few hundred steps.  Origin 0, dest n-1."""
+    trap = rng.sample(range(n), rng.randrange(1, 7))
+    even, odd = [], []
+    for v in range(n):
+        for succ in (even, odd):
+            inside = v in trap or rng.random() < 0.3
+            succ.append(rng.choice(trap) if inside else rng.randrange(n))
+    return graph(n, even, odd, 0, n - 1)
 
 
 def closure_reachable(g: SwitchGraph, target: int) -> set[int]:

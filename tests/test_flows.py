@@ -25,7 +25,16 @@ from switchflow.reduction import augment
 from switchflow.simulate import run_prefix
 from switchflow.suite import prefix_states
 
-from helpers import T1, T2, T3, random_graph, relaxed_distances
+from helpers import (
+    T1,
+    T2,
+    T3,
+    bouncer_chain,
+    random_graph,
+    reference_run,
+    relabel,
+    relaxed_distances,
+)
 
 
 @st.composite
@@ -188,6 +197,23 @@ def test_completion_on_random_cutoffs():
                 for si, (z, x) in enumerate(zip(completion.flow, state.profile))
                 if si not in zeroed
             )
+
+
+def test_completion_with_multi_digit_switch_words():
+    # augmented bouncers of 65 to 100 vertices: the completion run starts
+    # from switches preset across every vertex id
+    rng = random.Random(20261021)
+    for n in (63, 80, 98):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        aug = augment(relabel(bouncer_chain(n), perm))
+        h = aug.h
+        full, _ = reference_run(h, targets=aug.terminals)
+        zeroed = [0 if si // 2 in aug.terminals else c for si, c in enumerate(full.profile)]
+        for t in sorted(rng.sample(range(1, full.steps), 6)):
+            prefix, _ = reference_run(h, t, targets=aug.terminals)
+            completion = complete(aug, prefix.final_vertex, prefix.profile)
+            assert completion == (full.final_vertex, tuple(zeroed)), (n, t)
 
 
 def test_bounds_accept_completed_flows():

@@ -62,6 +62,50 @@ def test_wrong_successor_count_is_rejected():
     assert any("bad vertex count" in v for v in validate(g))
 
 
+def test_every_bad_successor_is_named_in_order():
+    class Vertex(int):
+        pass
+
+    assert validate(graph(2, [Vertex(1), 1], [1, Vertex(0)], 0, 1)) == []
+    assert validate(graph(3, [0, True, 2], [1.0, -1, 5], 0, 2)) == [
+        "even[1]: successor out of range (True not in 0..2)",
+        "odd[0]: successor out of range (1.0 not in 0..2)",
+        "odd[1]: successor out of range (-1 not in 0..2)",
+        "odd[2]: successor out of range (5 not in 0..2)",
+    ]
+    assert validate(graph(3, [0, 1], [0, "1", 2, 0], 0, 2)) == [
+        "even: bad vertex count, expected 3 successors, found 2",
+        "odd: bad vertex count, expected 3 successors, found 4",
+    ]
+    assert validate(graph(3, [0, 1, 2, 0], [3, 0, 1], 0, 2)) == [
+        "even: bad vertex count, expected 3 successors, found 4",
+        "odd[0]: successor out of range (3 not in 0..2)",
+    ]
+
+
+@st.composite
+def successor_maps(draw):
+    n = draw(st.integers(1, 12))
+    entry = st.integers(-2, n + 1)
+    even = draw(st.lists(st.one_of(entry, st.booleans()), min_size=n, max_size=n))
+    odd = draw(st.lists(entry, min_size=n, max_size=n))
+    return n, even, odd
+
+
+@given(successor_maps())
+def test_validate_agrees_with_the_entrywise_rule(case):
+    n, even, odd = case
+    expected = [
+        f"{name}[{v}]: successor out of range ({w!r} not in 0..{n - 1})"
+        for name, succ in (("even", even), ("odd", odd))
+        for v, w in enumerate(succ)
+        if type(w) is not int or not 0 <= w < n
+    ]
+    assert validate(graph(n, even, odd, 0, n)) == expected + [
+        f"dest: vertex out of range ({n} not in 0..{n - 1})"
+    ]
+
+
 def test_route_out_of_range_is_rejected():
     g = graph(2, [1, 1], [1, 1], 0, 7)
     assert any("dest: vertex out of range" in v for v in validate(g))
@@ -99,6 +143,7 @@ def test_predecessor_slots_invert_heads():
         for slot in g.slots():
             assert slot.index in preds[g.head(slot)]
         assert sum(len(p) for p in preds) == g.slot_count
+        assert g.heads() == [g.head(slot) for slot in g.slots()]
 
 
 def test_reverse_reachable_direct_edge():

@@ -155,3 +155,22 @@ def test_fresh_origin_departs_exactly_once(g):
     assert outcome.verdict is Verdict.TERMINATED
     slots = outcome.profile[2 * aug.o_bar] + outcome.profile[2 * aug.o_bar + 1]
     assert slots == 1
+
+
+def test_each_entry_point_validates_once(monkeypatch):
+    from switchflow import graphs
+    from switchflow.local_search import solve_s_arrival
+    from switchflow.simulate import run
+
+    from helpers import counter_chain
+
+    calls = []
+    real = graphs.validate
+    monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
+    bad = graph(3, [1, 2, 2], [1, 2, 2], 0, 0)
+    for entry in (decide_arrival, run, augment, check_duality, solve_s_arrival):
+        calls.clear()
+        entry(counter_chain(9))
+        assert len(calls) == 1, entry.__name__
+        with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
+            entry(bad)

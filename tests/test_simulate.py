@@ -34,6 +34,7 @@ from helpers import (
     bouncer_chain,
     counter_chain,
     random_graph,
+    random_trap_graph,
     reference_run,
     relabel,
     rotor_run,
@@ -185,6 +186,79 @@ def test_simulate_matches_the_reference_from_any_state():
         trace = []
         outcome = simulate(g, budget=budget, trace=trace, **kwargs)
         assert (outcome, trace) == reference_run(g, budget, **kwargs)
+
+
+def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
+    # n = 31..100, so switch words are multi-digit integers.  Half the
+    # graphs funnel into a small trap and repeat early; budgets sit around
+    # each first repeat, where a binding budget stops the run before
+    # Brent's anchors match and the repeat is found through the return
+    # time of the state the budget stopped at.
+    import switchflow.simulate as engine
+
+    returns = []
+    return_time = engine._return_time
+    monkeypatch.setattr(
+        engine, "_return_time", lambda *args: returns.append(return_time(*args)) or returns[-1]
+    )
+    rng = random.Random(20261019)
+    witnesses = []
+    for i in range(300):
+        n = rng.randrange(31, 101)
+        g = (random_trap_graph if i % 2 else random_graph)(rng, n)
+        kwargs = dict(
+            start=rng.randrange(n),
+            switches=rng.getrandbits(n),
+            targets=set(rng.sample(range(n), rng.randrange(3))),
+        )
+        full, _ = reference_run(g, 4000, **kwargs)
+        budgets = {0, 1, 5, 30, 4000}
+        if full.cycle_witness is not None:
+            witnesses.append(full.cycle_witness)
+            end = full.steps
+            budgets |= {end - 1, end, end + 1, rng.randrange(end, 3 * end + 1)}
+        for budget in budgets:
+            trace = []
+            outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+            assert (outcome, trace) == reference_run(g, budget, **kwargs), (g, kwargs, budget)
+    assert sum(w.switches >= 1 << 30 for w in witnesses) >= 100
+    assert sum(cycle is not None for cycle in returns) >= 100
+
+
+def _relabelled(family, n, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(family(n), perm), perm
+
+
+def test_chains_match_the_reference_beyond_64_vertices():
+    rng = random.Random(20261020)
+    for n in (64, 77, 91, 100):
+        g, perm = _relabelled(bouncer_chain, n, rng)
+        _assert_matches_the_reference(g)  # (n - 1)**2 steps
+        for _ in range(4):
+            kwargs = dict(start=rng.randrange(n), switches=rng.getrandbits(n))
+            assert simulate(g, **kwargs) == reference_run(g, **kwargs)[0], (n, kwargs)
+        assert decide_arrival(g) is True
+
+        # the counter of trap_chain(n) starts j carries short of its top,
+        # which then enters the trap or the destination after 2**j steps
+        g, perm = _relabelled(trap_chain, n, rng)
+        top, trap = n - 3, n - 2
+        for j in (0, 1, 5, 9):
+            for top_odd in (0, 1):
+                counter = sum(1 << perm[v] for v in range(j, top))
+                kwargs = dict(
+                    start=perm[0],
+                    switches=counter | top_odd << perm[top] | rng.getrandbits(1) << perm[trap],
+                )
+                for budget in (1 << j, 3 << j, None):
+                    trace = []
+                    outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+                    assert (outcome, trace) == reference_run(g, budget, **kwargs), (n, j)
+                assert outcome.final_vertex == (g.dest if top_odd else perm[trap])
+        for budget in (0, 1000, 5000):
+            _assert_matches_the_reference(g, budget)
 
 
 def test_run_without_cycle_detection_takes_the_whole_budget():
