@@ -38,7 +38,6 @@ _EXPORTS = {
     "graphs": (
         "EVEN",
         "ODD",
-        "EdgeSlot",
         "GraphFormatError",
         "SwitchGraph",
         "graph",

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, ContextManager, Sequence, TextIO
 
-from .graphs import MODELS, SolverError, SwitchGraph, parse, serialize
+from .graphs import MODELS, SolverError, SwitchGraph, _dumps, parse, serialize
 
 if TYPE_CHECKING:
     from .suite import CheckReport
@@ -31,10 +30,6 @@ if TYPE_CHECKING:
 
 class _UsageError(Exception):
     """Flag-level misuse discovered after argparse; exits with code 2."""
-
-
-def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def _budget(text: str) -> int:
@@ -233,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable report output"
-    )
     common.set_defaults(input=None)
 
     withinput = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -264,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decide", parents=[withinput], help="decide whether the run terminates"
     )
+    p.add_argument("--json", action="store_true", help="print a JSON document")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser(
@@ -312,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8, help="largest instance size")
     p.add_argument("--count", type=int, default=200, help="number of instances")
     p.add_argument("--seed", type=int, default=7, help="suite master seed")
+    p.add_argument("--json", action="store_true", help="print a JSON report")
     p.add_argument(
         "--self-test",
         action="store_true",

@@ -26,10 +26,17 @@ board with ``m`` vertices.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .graphs import EVEN, ODD, SolverError, SwitchGraph, distances_to, slot_index, slot_of
+from .graphs import (
+    SolverError,
+    SwitchGraph,
+    _document,
+    _dumps,
+    _int_array,
+    _int_field,
+    distances_to,
+)
 
 if TYPE_CHECKING:
     from .reduction import AugmentedInstance
@@ -116,14 +123,6 @@ class Completion(NamedTuple):
     flow: tuple[int, ...]
 
 
-def _zero_terminal_self_loops(aug: AugmentedInstance, counts: Sequence[int]) -> list[int]:
-    out = list(counts)
-    for t in (aug.source_dest, aug.d_bar):
-        out[slot_index(t, EVEN)] = 0
-        out[slot_index(t, ODD)] = 0
-    return out
-
-
 def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completion:
     """Extend a flow ending at ``u`` into a full certificate.
 
@@ -147,7 +146,9 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
             f"{len(report.parity_violations)} parity violations"
         )
 
-    x = _zero_terminal_self_loops(aug, counts)
+    x = list(counts)
+    for t in (aug.source_dest, aug.d_bar):
+        x[2 * t] = x[2 * t + 1] = 0
     if u in (aug.source_dest, aug.d_bar):
         return Completion(u, tuple(x))
 
@@ -258,35 +259,13 @@ def check_bounds(
 
 def parse_flow(text: str) -> tuple[int, int, tuple[int, ...]]:
     """Parse the flow JSON document ``{"origin", "dest", "counts"}``."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"$: expected object, found {type(doc).__name__}")
-    for key in doc:
-        if key not in ("origin", "dest", "counts"):
-            raise ValueError(f"$.{key}: unknown field")
-    for key in ("origin", "dest", "counts"):
-        if key not in doc:
-            raise ValueError(f"$.{key}: missing required field")
-    for key in ("origin", "dest"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ValueError(f"$.{key}: expected integer, found {doc[key]!r}")
-    if not isinstance(doc["counts"], list):
-        raise ValueError(f"$.counts: expected array, found {doc['counts']!r}")
-    for i, item in enumerate(doc["counts"]):
-        if not isinstance(item, int) or isinstance(item, bool):
-            raise ValueError(f"$.counts[{i}]: expected integer, found {item!r}")
-    return doc["origin"], doc["dest"], tuple(doc["counts"])
+    doc = _document(text, ("origin", "dest", "counts"))
+    return _int_field(doc, "origin"), _int_field(doc, "dest"), _int_array(doc, "counts")
 
 
 def serialize_flow(origin: int, dest: int, counts: Sequence[int]) -> str:
     """Byte-deterministic flow JSON in slot order."""
-    return json.dumps(
-        {"origin": origin, "dest": dest, "counts": list(counts)},
-        separators=(",", ":"),
-    )
+    return _dumps({"origin": origin, "dest": dest, "counts": list(counts)})
 
 
 def report_doc(report: FlowCheckReport) -> dict:
@@ -307,8 +286,8 @@ def bound_report_doc(report: BoundReport) -> dict:
             {
                 "rule": f.rule,
                 "slot": f.slot,
-                "tail": slot_of(f.slot).tail,
-                "parity": slot_of(f.slot).parity,
+                "tail": f.slot // 2,
+                "parity": f.slot & 1,
                 "value": f.value,
                 "limit": f.limit,
             }

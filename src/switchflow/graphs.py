@@ -22,7 +22,7 @@ so that malformed records can be built and inspected in tests.
 from __future__ import annotations
 
 import json
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 EVEN = 0
 ODD = 1
@@ -36,36 +36,16 @@ MODELS = ("uniform", "layered")
 
 # JSON schema: fixed key order, "labels" optional.
 _REQUIRED_KEYS = ("n", "origin", "dest", "even", "odd")
-_ALL_KEYS = _REQUIRED_KEYS + ("labels",)
 
 
 class GraphFormatError(ValueError):
-    """Malformed or invalid graph document; message includes the position."""
+    """Malformed or invalid graph or flow document; message includes the position."""
 
 
 class SolverError(RuntimeError):
     """Base of the errors raised when a completion, a walk or a
     certificate extraction fails; the command line reports each one as a
     content error."""
-
-
-class EdgeSlot(NamedTuple):
-    """One of the 2n outgoing edge slots, identified by (tail, parity)."""
-
-    tail: int
-    parity: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.tail + self.parity
-
-
-def slot_index(tail: int, parity: int) -> int:
-    return 2 * tail + parity
-
-
-def slot_of(index: int) -> EdgeSlot:
-    return EdgeSlot(index // 2, index % 2)
 
 
 class SwitchGraph(NamedTuple):
@@ -82,21 +62,6 @@ class SwitchGraph(NamedTuple):
     origin: int
     dest: int
     labels: tuple[str, ...] | None = None
-
-    def successor(self, v: int, parity: int) -> int:
-        return self.odd[v] if parity else self.even[v]
-
-    def head(self, slot: EdgeSlot) -> int:
-        return self.successor(slot.tail, slot.parity)
-
-    def slots(self) -> Iterator[EdgeSlot]:
-        for v in range(self.n):
-            yield EdgeSlot(v, EVEN)
-            yield EdgeSlot(v, ODD)
-
-    @property
-    def slot_count(self) -> int:
-        return 2 * self.n
 
     def with_route(self, origin: int | None = None, dest: int | None = None) -> "SwitchGraph":
         """Same board, different origin/dest."""
@@ -210,10 +175,12 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _int_array(doc: dict, key: str, n: int) -> tuple[int, ...]:
+def _int_array(doc: dict, key: str, n: int | None = None) -> tuple[int, ...]:
+    """The integer array at ``key``, of exactly ``n`` entries when ``n`` is given."""
     value = doc[key]
     _expect(isinstance(value, list), f"$.{key}", f"expected array, found {value!r}")
-    _expect(len(value) == n, f"$.{key}", f"expected {n} entries, found {len(value)}")
+    if n is not None:
+        _expect(len(value) == n, f"$.{key}", f"expected {n} entries, found {len(value)}")
     for i, item in enumerate(value):
         _expect(
             isinstance(item, int) and not isinstance(item, bool),
@@ -223,22 +190,34 @@ def _int_array(doc: dict, key: str, n: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def parse(text: str) -> SwitchGraph:
-    """Parse the JSON graph document, rejecting anything malformed.
-
-    Unknown fields, type errors, and invariant violations are all
-    reported with their position in the document.
-    """
+def _document(text: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """Decode a JSON object holding every ``required`` key and no key
+    outside ``required`` and ``optional``; the field values are left to
+    the caller."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     _expect(isinstance(doc, dict), "$", f"expected object, found {type(doc).__name__}")
     for key in doc:
-        _expect(key in _ALL_KEYS, f"$.{key}", "unknown field")
-    for key in _REQUIRED_KEYS:
+        _expect(key in required or key in optional, f"$.{key}", "unknown field")
+    for key in required:
         _expect(key in doc, f"$.{key}", "missing required field")
+    return doc
 
+
+def _dumps(doc) -> str:
+    """Compact JSON: no whitespace, keys in insertion order."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def parse(text: str) -> SwitchGraph:
+    """Parse the JSON graph document, rejecting anything malformed.
+
+    Unknown fields, type errors, and invariant violations are all
+    reported with their position in the document.
+    """
+    doc = _document(text, _REQUIRED_KEYS, ("labels",))
     n = _int_field(doc, "n")
     _expect(n >= 1, "$.n", f"vertex count must be positive, found {n}")
     labels = None
@@ -277,7 +256,7 @@ def serialize(g: SwitchGraph) -> str:
     }
     if g.labels is not None:
         doc["labels"] = list(g.labels)
-    return json.dumps(doc, separators=(",", ":"))
+    return _dumps(doc)
 
 
 def to_dot(g: SwitchGraph) -> str:
@@ -297,9 +276,7 @@ def to_dot(g: SwitchGraph) -> str:
             attrs.append('role="dest"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {v}{suffix};")
-    for slot in g.slots():
-        lines.append(
-            f'  {slot.tail} -> {g.head(slot)} [parity="{PARITY_NAMES[slot.parity]}"];'
-        )
+    for si, w in enumerate(g.heads()):
+        lines.append(f'  {si // 2} -> {w} [parity="{PARITY_NAMES[si & 1]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

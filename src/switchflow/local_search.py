@@ -43,6 +43,8 @@ from .reduction import AugmentedInstance, augment
 TERMINATION = "termination"
 NON_TERMINATION = "non-termination"
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 class WalkError(SolverError):
     """The walk budget ran out before a local optimum was reached."""
@@ -120,7 +122,7 @@ class LocalOptInstance:
         i = flow[2 * v] - flow[2 * v + 1]
         flow = list(flow)
         flow[2 * v + i] += 1
-        return SearchState(self.h.successor(v, i), tuple(flow))
+        return SearchState((self.h.odd if i else self.h.even)[v], tuple(flow))
 
     def potential(self, state: SearchState) -> int:
         if not self._in_domain(state) or not self._flow_valid(state):
@@ -299,7 +301,9 @@ def hex_decode(inst: LocalOptInstance, text: str) -> SearchState:
         raise ValueError(
             f"expected {width} hex digits for this instance, got {len(text)}"
         )
-    value = int(text, 16)  # raises ValueError on non-hex input
+    if not set(text) <= _HEX_DIGITS:
+        raise ValueError(f"expected only the digits 0-9, a-f and A-F, got {text!r}")
+    value = int(text, 16)
     if value >= 1 << inst.total_bits:
         raise ValueError("encoded value exceeds the instance's bit width")
     return inst.decode(format(value, f"0{inst.total_bits}b"))

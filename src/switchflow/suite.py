@@ -34,6 +34,9 @@ from .reduction import augment, check_duality
 
 FAMILIES = ("duality", "prefix-flows", "completion", "trace-equivalence")
 
+# Random cutoffs of each instance's run that the completion family completes.
+_CUTOFFS_PER_INSTANCE = 3
+
 
 class CheckFailure(NamedTuple):
     family: str
@@ -114,7 +117,6 @@ def _check_instance(
     rng: random.Random,
     report: CheckReport,
     verify: Callable[..., flows.FlowCheckReport],
-    cutoffs: int,
 ) -> None:
     aug = augment(g)
     h, o_bar = aug.h, aug.o_bar
@@ -146,7 +148,7 @@ def _check_instance(
 
     full = states[-1]
     reached = full.vertex
-    for _ in range(cutoffs):
+    for _ in range(_CUTOFFS_PER_INSTANCE):
         t = rng.randrange(1, len(states))
         st = states[t]
         got = flows.complete(aug, st.vertex, st.profile)
@@ -216,7 +218,6 @@ def run_checks(
     count: int,
     seed: int,
     *,
-    cutoffs_per_instance: int = 3,
     verify: Callable[..., flows.FlowCheckReport] = flows.verify,
 ) -> CheckReport:
     """Run the four check families over ``count`` seeded instances.
@@ -229,7 +230,7 @@ def run_checks(
         report.instances += 1
         rng = random.Random(spec.seed ^ 0xC0FFEE)
         try:
-            _check_instance(g, rng, report, verify, cutoffs_per_instance)
+            _check_instance(g, rng, report, verify)
         except _Falsified as f:
             report.failure = CheckFailure(f.family, spec, serialize(g), f.detail)
             break

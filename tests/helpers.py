@@ -137,7 +137,7 @@ def rotor_run(g: SwitchGraph, max_steps: int = 1_000_000):
         tail, parity = rotors[v][0]
         rotors[v].rotate(1)
         profile[2 * tail + parity] += 1
-        v = g.successor(tail, parity)
+        v = (g.odd if parity else g.even)[tail]
         steps += 1
         if steps > max_steps:
             raise RuntimeError("oracle budget exhausted")

@@ -130,7 +130,7 @@ def test_criterion_3_slot_ceilings():
                 assert 0 <= value < (1 << m), (serialize(g), si, value)
                 if si // 2 == aug.o_bar:
                     assert value <= 1, (serialize(g), si, value)
-                k = dist[h.successor(si // 2, si % 2)]
+                k = dist[(h.odd if si % 2 else h.even)[si // 2]]
                 if k is not None:
                     assert value <= (1 << (k + 1)) - 1, (serialize(g), si, value)
             assert check_bounds(aug, flow, reached).ok, (serialize(g), reached)

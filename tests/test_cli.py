@@ -248,9 +248,10 @@ def test_walk_reports_an_exhausted_budget(capsys, t1_file):
 
 
 def test_walk_rejects_bad_hex(capsys, t1_file):
-    code, _, err = run_cli(capsys, "walk", "--input", t1_file, "--start", "xyz")
-    assert code == 2
-    assert "--start" in err
+    for start in ("xyz", "0x000000000"):
+        code, out, err = run_cli(capsys, "walk", "--input", t1_file, "--start", start)
+        assert (code, out) == (2, ""), start
+        assert "usage error: --start" in err, start
 
 
 def test_solve_emits_certificates(capsys, t1_file, t3_file):
@@ -278,6 +279,27 @@ def test_check_json_report(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["instances"] == 20
+
+
+def test_json_flag_belongs_to_decide_and_check_only(capsys, t1_file, tmp_path):
+    flow = tmp_path / "flow.json"
+    flow.write_text('{"origin":0,"dest":1,"counts":[1,0,0,0]}')
+    prefix = tmp_path / "prefix.json"
+    prefix.write_text('{"origin":2,"dest":0,"counts":[0,0,0,0,1,0,0,0]}')
+    commands = [
+        ["gen", "--n", "3"],
+        ["simulate", "--input", t1_file],
+        ["reduce", "--input", t1_file],
+        ["verify-flow", "--input", t1_file, "--flow", str(flow)],
+        ["complete", "--input", t1_file, "--flow", str(prefix)],
+        ["walk", "--input", t1_file],
+        ["solve", "--input", t1_file],
+    ]
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --json" in err, argv
 
 
 def test_check_is_deterministic(capsys):

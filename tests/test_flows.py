@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -133,8 +134,8 @@ def test_desperation_matches_the_relaxation_oracle(g, dest):
     dest %= g.n
     dist = relaxed_distances(g, dest)
     got = desperation(g, dest)
-    for si in range(g.slot_count):
-        assert got[si] == dist[g.successor(si // 2, si % 2)]
+    for si in range(2 * g.n):
+        assert got[si] == dist[(g.odd if si % 2 else g.even)[si // 2]]
 
 
 def test_completing_the_first_prefix_reproduces_the_full_run():
@@ -282,6 +283,25 @@ def test_bound_report_doc_shape():
         {"rule": "desperation", "slot": 0, "tail": 0, "parity": 0, "value": 2, "limit": 1}
     ]
     assert doc["flags"] == []
+
+
+def test_bound_report_doc_rows_on_both_parities():
+    aug = augment(T1)
+    doc = bound_report_doc(check_bounds(aug, (2, 3, 16, 5, 2, 2, 1, 4), 1))
+    assert json.dumps(doc, separators=(",", ":")) == (
+        '{"ok":false,"violations":['
+        '{"rule":"desperation","slot":0,"tail":0,"parity":0,"value":2,"limit":1},'
+        '{"rule":"desperation","slot":1,"tail":0,"parity":1,"value":3,"limit":1},'
+        '{"rule":"fresh-origin","slot":4,"tail":2,"parity":0,"value":2,"limit":1},'
+        '{"rule":"fresh-origin","slot":5,"tail":2,"parity":1,"value":2,"limit":1},'
+        '{"rule":"drained-region","slot":6,"tail":3,"parity":0,"value":1,"limit":0},'
+        '{"rule":"drained-region","slot":7,"tail":3,"parity":1,"value":4,"limit":0}'
+        '],"flags":['
+        '{"rule":"slot-ceiling","slot":2,"tail":1,"parity":0,"value":16,"limit":15},'
+        '{"rule":"desperation","slot":2,"tail":1,"parity":0,"value":16,"limit":1},'
+        '{"rule":"desperation","slot":3,"tail":1,"parity":1,"value":5,"limit":1}'
+        "]}"
+    )
 
 
 @given(switch_graphs())

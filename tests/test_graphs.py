@@ -10,15 +10,12 @@ from hypothesis import given, strategies as st
 from switchflow.graphs import (
     EVEN,
     ODD,
-    EdgeSlot,
     GraphFormatError,
     graph,
     parse,
     require_valid,
     reverse_reachable,
     serialize,
-    slot_index,
-    slot_of,
     to_dot,
     validate,
 )
@@ -32,13 +29,6 @@ def switch_graphs(draw, max_n=8):
     even = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     odd = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return graph(n, even, odd, 0, n - 1)
-
-
-def test_slot_indexing_round_trip():
-    for v in range(5):
-        for p in (EVEN, ODD):
-            assert slot_of(slot_index(v, p)) == EdgeSlot(v, p)
-            assert EdgeSlot(v, p).index == slot_index(v, p)
 
 
 def test_minimal_legal_graph_is_valid():
@@ -140,10 +130,13 @@ def test_with_route_changes_only_the_route():
 def test_predecessor_slots_invert_heads():
     for g in (T1, T2, T3):
         preds = g.predecessor_slots()
-        for slot in g.slots():
-            assert slot.index in preds[g.head(slot)]
-        assert sum(len(p) for p in preds) == g.slot_count
-        assert g.heads() == [g.head(slot) for slot in g.slots()]
+        heads = g.heads()
+        for v in range(g.n):
+            assert 2 * v + EVEN in preds[g.even[v]]
+            assert 2 * v + ODD in preds[g.odd[v]]
+            assert heads[2 * v + EVEN] == g.even[v]
+            assert heads[2 * v + ODD] == g.odd[v]
+        assert sum(len(p) for p in preds) == len(heads) == 2 * g.n
 
 
 def test_reverse_reachable_direct_edge():
@@ -258,7 +251,34 @@ def test_parse_rejects_bad_labels():
 def test_dot_export_has_one_line_per_slot():
     for g in (T1, T2, T3):
         edge_lines = [l for l in to_dot(g).splitlines() if "->" in l]
-        assert len(edge_lines) == g.slot_count
+        assert len(edge_lines) == 2 * g.n
+
+
+def test_dot_export_is_pinned_line_by_line():
+    assert to_dot(T1) == (
+        "digraph switch_graph {\n"
+        '  0 [role="origin"];\n'
+        '  1 [role="dest"];\n'
+        '  0 -> 1 [parity="even"];\n'
+        '  0 -> 1 [parity="odd"];\n'
+        '  1 -> 1 [parity="even"];\n'
+        '  1 -> 1 [parity="odd"];\n'
+        "}\n"
+    )
+    g = graph(3, [1, 2, 0], [2, 2, 1], 2, 0, labels=["x", 'say "hi"', "a\\b"])
+    assert to_dot(g) == (
+        "digraph switch_graph {\n"
+        '  0 [label="x", role="dest"];\n'
+        '  1 [label="say \\"hi\\""];\n'
+        '  2 [label="a\\\\b", role="origin"];\n'
+        '  0 -> 1 [parity="even"];\n'
+        '  0 -> 2 [parity="odd"];\n'
+        '  1 -> 2 [parity="even"];\n'
+        '  1 -> 2 [parity="odd"];\n'
+        '  2 -> 0 [parity="even"];\n'
+        '  2 -> 1 [parity="odd"];\n'
+        "}\n"
+    )
 
 
 def test_dot_export_escapes_labels():

@@ -160,6 +160,10 @@ def test_hex_decode_rejects_malformed_input():
         hex_decode(INST1, "zzzzzzzzzzz")
     with pytest.raises(ValueError, match="exceeds"):
         hex_decode(INST1, "f" * 11)
+    # int(text, 16) alone would accept or misreport each of these
+    for text in ("0x000000000", "0_000000000", " 000000000 ", "+0000000000", "-0000000001"):
+        with pytest.raises(ValueError, match="digits 0-9, a-f and A-F"):
+            hex_decode(INST1, text)
 
 
 def test_walk_reaches_the_destination_certificate():

@@ -88,7 +88,7 @@ def test_run_rejects_invalid_graphs():
 
 def test_prefix_of_zero_steps_is_the_start_state():
     for g in (T1, T2, T3):
-        assert run_prefix(g, 0) == (g.origin, (0,) * g.slot_count, 0)
+        assert run_prefix(g, 0) == (g.origin, (0,) * (2 * g.n), 0)
 
 
 def test_prefix_after_one_step():
