@@ -10,16 +10,16 @@ is trapped.
 """
 
 from switchflow import Verdict, graph, run, run_prefix
-from switchflow.simulate import TraceStep, format_trace
+from switchflow.simulate import format_trace, replay
 
 
 def show(name: str, g) -> None:
-    trace: list[TraceStep] = []
-    outcome = run(g, trace=trace)
+    outcome = run(g)
     print(f"== {name}: n={g.n} even={list(g.even)} odd={list(g.odd)}")
     print(f"   origin {g.origin} -> dest {g.dest}")
-    if trace:
-        print("   " + format_trace(trace).replace("\n", "\n   "))
+    # The run reports its outcome; the trace replays the outcome's steps.
+    for line in format_trace(replay(g, outcome.steps)):
+        print("   " + line)
     print(f"   verdict: {outcome.verdict.value} after {outcome.steps} steps")
     print(f"   profile by slot (even, odd per vertex): {list(outcome.profile)}")
     if outcome.cycle_witness is not None:

@@ -81,16 +81,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulate import TraceStep, format_trace, outcome_to_doc, run
+    from .simulate import format_trace, outcome_to_doc, replay, run
 
     g = _load_graph(args)
-    trace: list[TraceStep] | None = [] if args.trace else None
-    outcome = run(g, budget=args.budget, trace=trace)
-    lines = []
-    if trace:
-        lines.append(format_trace(trace))
-    lines.append(_dumps(outcome_to_doc(outcome)))
-    _write_output(args, "\n".join(lines))
+    outcome = run(g, budget=args.budget)
+    with _output(args) as out:
+        if args.trace:
+            for line in format_trace(replay(g, outcome.steps)):
+                out.write(line + "\n")
+        out.write(_dumps(outcome_to_doc(outcome)) + "\n")
     return 0
 
 

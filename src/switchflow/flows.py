@@ -163,17 +163,19 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     y = outcome.profile
 
     incoming = [y[si] for si, w in enumerate(h.heads()) if w == reached]
-    assert sum(incoming) == 1 and max(incoming) == 1, (
-        "completion run must place exactly one unit on one incoming slot "
-        f"of the reached terminal, found {incoming}"
-    )
+    if sum(incoming) != 1 or max(incoming) != 1:
+        raise AssertionError(
+            "completion run must place exactly one unit on one incoming slot "
+            f"of the reached terminal, found {incoming}"
+        )
 
     z = tuple(a + b for a, b in zip(x, y))
     final = verify(h, aug.o_bar, reached, z)
-    assert final.valid, (
-        "completed flow failed verification: "
-        f"{final.conservation_violations} {final.parity_violations}"
-    )
+    if not final.valid:
+        raise AssertionError(
+            "completed flow failed verification: "
+            f"{final.conservation_violations} {final.parity_violations}"
+        )
     return Completion(reached, z)
 
 

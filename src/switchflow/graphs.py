@@ -191,14 +191,24 @@ def _int_array(doc: dict, key: str, n: int | None = None) -> tuple[int, ...]:
 
 
 def _document(text: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """Decode a JSON object holding every ``required`` key and no key
-    outside ``required`` and ``optional``; the field values are left to
-    the caller."""
+    """Decode a JSON object holding every ``required`` key, no key
+    outside ``required`` and ``optional``, and no key twice; the field
+    values are left to the caller."""
+    pairs: list[tuple[str, object]] = []
+
+    def keep_pairs(items: list[tuple[str, object]]) -> dict:
+        pairs[:] = items  # objects close innermost first: the document's comes last
+        return dict(items)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     _expect(isinstance(doc, dict), "$", f"expected object, found {type(doc).__name__}")
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise GraphFormatError(f"$.{key}: duplicate field")
     for key in doc:
         _expect(key in required or key in optional, f"$.{key}", "unknown field")
     for key in required:

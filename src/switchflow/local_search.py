@@ -270,22 +270,22 @@ def state_doc(inst: LocalOptInstance, state: SearchState) -> dict:
 def walk_trace(inst: LocalOptInstance, start: SearchState, steps: int) -> Iterator[dict]:
     """The first ``steps + 1`` states of the walk from ``start``, as
     :func:`state_doc` dicts, lazily and in O(1) per step after the first:
-    an invalid start is followed by the reset state, and each step from
-    a valid state adds one to a slot and to the potential."""
+    an invalid start is followed by the reset state, and the walk from a
+    valid state is the token run whose switches are the flow's parity
+    imbalances, each step adding one to a slot and to the potential."""
+    from .simulate import replay
+
     v, flow = start.vertex, list(start.flow)
     potential = inst.potential(start)
-    even, odd = inst.h.even, inst.h.odd
-    for step in range(steps + 1):
+    yield {"vertex": v, "counts": flow[:], "potential": potential}
+    if potential < 0 < steps:
+        v, flow, potential, steps = inst.reset.vertex, list(inst.reset.flow), 0, steps - 1
         yield {"vertex": v, "counts": flow[:], "potential": potential}
-        if step == steps:
-            break
-        if potential < 0:
-            v, flow, potential = inst.reset.vertex, list(inst.reset.flow), 0
-            continue
-        slot = 2 * v + flow[2 * v] - flow[2 * v + 1]
-        flow[slot] += 1
-        v = odd[v] if slot & 1 else even[v]
+    switches = sum(1 << u for u in range(len(flow) // 2) if flow[2 * u] != flow[2 * u + 1])
+    for step in replay(inst.h, steps, start=v, switches=switches):
+        flow[2 * step.tail + step.parity] += 1
         potential += 1
+        yield {"vertex": step.head, "counts": flow[:], "potential": potential}
 
 
 def hex_encode(inst: LocalOptInstance, state: SearchState) -> str:

@@ -16,6 +16,9 @@ destination is reached or some state repeats.  Repeats are found by
 Brent's cycle detection, which keeps one earlier state instead of every
 visited one, so runs need O(n) memory at any ``n``.
 
+The engine computes outcomes only.  Traces and prefixes replay the run
+(:func:`replay`) one step at a time after it ends, in O(n) memory too.
+
 The decision stops a long run where the destination falls out of reach,
 and when a single vertex cuts every cycle of the vertices that can still
 reach it, computes that stopped run without stepping: batched passes
@@ -31,9 +34,9 @@ are exact at any magnitude.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
-from .graphs import SwitchGraph, require_valid, reverse_reachable
+from .graphs import PARITY_NAMES, SwitchGraph, require_valid, reverse_reachable
 
 
 class Verdict(str, Enum):
@@ -86,16 +89,14 @@ def simulate(
     switches: int = 0,
     targets: Iterable[int] | None = None,
     budget: int | None = None,
-    detect_cycles: bool = True,
-    trace: list[TraceStep] | None = None,
 ) -> RunOutcome:
     """Run the token until a target vertex, a repeated state, or the budget.
 
-    This is the engine behind :func:`run`, :func:`run_prefix`,
-    :func:`decide_arrival`, the flow-completion procedure, and the
-    local-search oracles: it allows an arbitrary start vertex, initial
-    switch positions, and a *set* of stopping vertices.  The graph is
-    assumed valid.  ``detect_cycles=False`` ignores repeated states.
+    This is the engine behind :func:`run`, :func:`decide_arrival`, the
+    flow-completion procedure, and the local-search oracles: it allows an
+    arbitrary start vertex, initial switch positions, and a *set* of
+    stopping vertices.  The graph is assumed valid.  The outcome's steps
+    are replayed by :func:`replay`.
     """
     n = g.n
     target_set = (g.dest,) if targets is None else frozenset(targets)
@@ -105,14 +106,14 @@ def simulate(
     heads = g.heads()
     nxt = _departures(n, switches)
     profile = [0] * (2 * n)
-    steps, v, cycle, horizon, back = _step(
-        heads, first_v, nxt, profile, target_set, budget, detect_cycles, trace
-    )
+    steps, v, cycle, horizon, back = _step(heads, first_v, nxt, profile, target_set, budget)
     if v in target_set:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
-    if cycle is None and detect_cycles:
-        # A repeat that closed unseen by the anchors has this state on its cycle.
-        cycle = _return_time(heads, v, nxt, target_set, budget)
+    if cycle is None:
+        # The budget bound first.  From a state on a cycle of lambda <= budget
+        # steps, stepping on matches at the first anchor at or past lambda,
+        # before step 3 * lambda; a cycle found off it repeats past the budget.
+        cycle = _step(heads, v, nxt[:], [0] * (2 * n), target_set, 3 * budget)[2]
     if cycle is not None:
         # ``back`` was the anchor through step ``horizon``: had it lain on
         # the cycle, it would have matched by then if the cycle fits
@@ -120,8 +121,6 @@ def simulate(
             back = (first_v, _departures(n, switches), 0, [0] * (2 * n))
         mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, back, cycle)
         if mu + cycle <= budget:
-            if trace is not None:
-                del trace[len(trace) - steps + mu + cycle:]
             sw_mu = sum(1 << u for u, s in enumerate(nxt_mu) if s & 1)  # the switch word
             witness = CycleWitness(v_mu, sw_mu, mu, mu + cycle)
             return RunOutcome(Verdict.NON_TERMINATING, profile_mu, mu + cycle, v_mu, witness)
@@ -140,8 +139,7 @@ def _step(
     profile: list[int],
     targets: Container[int],
     budget: int,
-    detect_cycles: bool,
-    trace: list[TraceStep] | None,
+    detect_cycles: bool = True,
 ) -> tuple[int, int, int | None, int, tuple | None]:
     """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
     counting departures into ``profile``, until a target, the first Brent
@@ -160,7 +158,8 @@ def _step(
     match gives the cycle length exactly.  From step 2n on, each anchor
     also keeps a copy of the profile (``anchor``, and ``back`` for the one
     before), from which the first repeat is sought instead of from the
-    start; below 2n steps the copies would cost more than stepping again."""
+    start; below 2n steps the copies would cost more than stepping again.
+    ``detect_cycles=False`` skips the checks, for a run known to end."""
     two_n = len(profile)
     steps = 0
     anchor_v, anchor_nxt, anchor_step = -1, None, 0
@@ -171,8 +170,6 @@ def _step(
         s = nxt[v]
         profile[s] += 1
         nxt[v] = s ^ 1
-        if trace is not None:
-            trace.append(TraceStep(steps, v, s & 1, heads[s]))
         v = heads[s]
         steps += 1
         if detect_cycles:
@@ -183,22 +180,6 @@ def _step(
                 if steps >= two_n:
                     back, anchor = anchor, (v, anchor_nxt, steps, profile[:])
     return steps, v, None, steps, back
-
-
-def _return_time(
-    heads: list[int], v: int, nxt: list[int], targets: Container[int], limit: int
-) -> int | None:
-    """Steps until the state (v, nxt) recurs, if within ``limit`` and before any target."""
-    w, w_nxt = v, nxt[:]
-    for k in range(1, limit + 1):
-        s = w_nxt[w]
-        w_nxt[w] = s ^ 1
-        w = heads[s]
-        if w == v and w_nxt == nxt:
-            return k
-        if w in targets:
-            return None
-    return None
 
 
 def _first_repeat(
@@ -225,18 +206,16 @@ def _first_repeat(
     return base + steps - cycle, v, nxt, tuple(profile)
 
 
-def run(
-    g: SwitchGraph, budget: int | None = None, *, trace: list[TraceStep] | None = None
-) -> RunOutcome:
+def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
     """Simulate the run from the graph's origin to its destination.  The
     default budget ``2n * 2**n`` exceeds the ``n * 2**n`` states, so
     without a budget the verdict is always decisive."""
     require_valid(g)
-    return simulate(g, budget=budget, trace=trace)
+    return simulate(g, budget=budget)
 
 
 def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
-    """Re-simulate from the start and stop after exactly ``t`` steps.
+    """Replay the run from the start and stop after exactly ``t`` steps.
 
     Raises ValueError("prefix beyond termination ...") if the run
     reaches the destination in fewer than ``t`` steps.
@@ -244,14 +223,16 @@ def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
     require_valid(g)
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
-    outcome = simulate(g, budget=t, detect_cycles=False)
-    if outcome.steps < t:
-        raise ValueError(
-            f"prefix beyond termination: run ended after {outcome.steps} steps, {t} requested"
-        )
-    p = outcome.profile
-    switches = sum(1 << v for v in range(g.n) if (p[2 * v] + p[2 * v + 1]) & 1)
-    return PrefixState(outcome.final_vertex, p, switches)
+    v, p = g.origin, [0] * (2 * g.n)
+    for step in replay(g, t):
+        if step.tail == g.dest:
+            raise ValueError(
+                f"prefix beyond termination: run ended after {step.step} steps, {t} requested"
+            )
+        p[2 * step.tail + step.parity] += 1
+        v = step.head
+    switches = sum(1 << u for u in range(g.n) if (p[2 * u] + p[2 * u + 1]) & 1)
+    return PrefixState(v, tuple(p), switches)
 
 
 def decide_arrival(g: SwitchGraph) -> bool:
@@ -271,16 +252,19 @@ def decide_arrival(g: SwitchGraph) -> bool:
 def _decide(g: SwitchGraph) -> bool:
     """:func:`decide_arrival` on a graph known to be valid."""
     n, dest = g.n, g.dest
-    _, v, cycle, _, _ = _step(
-        g.heads(), g.origin, list(range(0, 2 * n, 2)), [0] * (2 * n),
-        (dest,), 4 * n, detect_cycles=True, trace=None,
-    )
+    heads, nxt, profile = g.heads(), list(range(0, 2 * n, 2)), [0] * (2 * n)
+    _, v, cycle, _, _ = _step(heads, g.origin, nxt, profile, (dest,), 4 * n)
     if v == dest or cycle is not None:  # arrived, or repeated before arriving
         return v == dest
     stops = set(range(n)) - reverse_reachable(g, dest) | {dest}
-    outcome = _multirun(g, stops) or simulate(g, targets=stops, detect_cycles=False)
-    assert outcome.verdict is Verdict.TERMINATED
-    return outcome.final_vertex == dest
+    outcome = _multirun(g, stops)
+    if outcome is not None:
+        v = outcome.final_vertex
+    else:  # stepped on without Brent's checks: a run toward the stops never repeats
+        v = _step(heads, v, nxt, profile, stops, default_budget(n), detect_cycles=False)[1]
+    if v not in stops:
+        raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
+    return v == dest
 
 
 def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
@@ -327,7 +311,8 @@ def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
 
     lo, hi = -1, 0
     while not absorbs(hi):
-        assert hi < 8 << n, "no departure count within the slot ceilings; indicates a bug"
+        if hi >= 8 << n:
+            raise AssertionError("no departure count within the slot ceilings; indicates a bug")
         lo, hi = hi, 2 * hi + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -338,10 +323,11 @@ def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
     tokens, profile = fire(hi)
     reached = next(t for t in stops if tokens[t])
     report = flows.verify(g, origin, reached, profile)
-    assert report.valid and not any(profile[2 * t] or profile[2 * t + 1] for t in stops), (
-        "batched run profile failed verification: "
-        f"{report.conservation_violations} {report.parity_violations}"
-    )
+    if not report.valid or any(profile[2 * t] or profile[2 * t + 1] for t in stops):
+        raise AssertionError(
+            "batched run profile failed verification: "
+            f"{report.conservation_violations} {report.parity_violations}"
+        )
     return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), reached)
 
 
@@ -397,13 +383,24 @@ def _cycle(preds: list[list[int]], left: set[int]) -> list[int]:
     return path[position[v]:]
 
 
-def format_trace(trace: Iterable[TraceStep]) -> str:
-    """One deterministic line per step: ``step <i>: <v> -<parity>-> <w>``."""
-    from .graphs import PARITY_NAMES
+def replay(
+    g: SwitchGraph, steps: int, *, start: int | None = None, switches: int = 0
+) -> Iterator[TraceStep]:
+    """The first ``steps`` steps of the run from ``start`` (default: the
+    origin) and the switch word ``switches``, lazily, ignoring targets:
+    the trace of an outcome is the replay of its ``steps``."""
+    heads, nxt = g.heads(), _departures(g.n, switches)
+    v = g.origin if start is None else start
+    for step in range(steps):
+        s = nxt[v]
+        nxt[v] = s ^ 1
+        yield TraceStep(step, v, s & 1, heads[s])
+        v = heads[s]
 
-    return "\n".join(
-        f"step {s.step}: {s.tail} -{PARITY_NAMES[s.parity]}-> {s.head}" for s in trace
-    )
+
+def format_trace(trace: Iterable[TraceStep]) -> Iterator[str]:
+    """One deterministic line per step, lazily: ``step <i>: <v> -<parity>-> <w>``."""
+    return (f"step {s.step}: {s.tail} -{PARITY_NAMES[s.parity]}-> {s.head}" for s in trace)
 
 
 def outcome_to_doc(outcome: RunOutcome) -> dict:

@@ -98,14 +98,14 @@ def _require(cond: bool, family: str, detail: str) -> None:
 
 def prefix_states(g: SwitchGraph, targets: Sequence[int]) -> list[simulate.PrefixState]:
     """All simulation states (vertex, profile, switches) for t = 0..T,
-    reconstructed from one pass instead of T re-simulations."""
-    trace: list[simulate.TraceStep] = []
-    outcome = simulate.simulate(g, targets=targets, trace=trace)
-    assert outcome.verdict is simulate.Verdict.TERMINATED
+    reconstructed from one replay instead of T re-simulations."""
+    outcome = simulate.simulate(g, targets=targets)
+    if outcome.verdict is not simulate.Verdict.TERMINATED:
+        raise AssertionError(f"the run to {sorted(targets)} ended {outcome.verdict.value}")
     profile = [0] * (2 * g.n)
     switches = 0
     states = [simulate.PrefixState(g.origin, tuple(profile), switches)]
-    for step in trace:
+    for step in simulate.replay(g, outcome.steps):
         profile[2 * step.tail + step.parity] += 1
         switches ^= 1 << step.tail
         states.append(simulate.PrefixState(step.head, tuple(profile), switches))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,7 @@ from switchflow.graphs import parse, serialize, validate
 from switchflow.local_search import LocalOptInstance, SearchState, hex_encode, walk_localopt
 from switchflow.reduction import augment
 
-from helpers import T1, T2, T3, counter_chain, reference_walk_trace
+from helpers import T1, T2, T3, counter_chain, reference_run, reference_walk_trace
 
 T1_TEXT = serialize(T1)
 T2_TEXT = serialize(T2)
@@ -77,6 +78,40 @@ def test_simulate_trace_lines_precede_the_outcome(capsys, tmp_path):
     assert lines[0] == "step 0: 0 -even-> 0"
     assert lines[1] == "step 1: 0 -odd-> 1"
     assert json.loads(lines[2])["steps"] == 2
+
+
+def test_simulate_trace_streams_from_a_replay(tmp_path):
+    # 131,070 steps: each line is written as the replay makes it, so the
+    # memory held stays far below the 4 MB of trace text
+    g = counter_chain(16)
+    path = tmp_path / "chain.json"
+    path.write_text(serialize(g))
+    out_path = tmp_path / "trace.txt"
+    import switchflow.simulate  # noqa: F401  (loaded first: its import is not the trace's)
+
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--input", str(path), "--trace", "--output", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    outcome, trace = reference_run(g)
+    parity = ("even", "odd")
+    expected = [f"step {s.step}: {s.tail} -{parity[s.parity]}-> {s.head}" for s in trace]
+    expected.append(
+        json.dumps(
+            {
+                "verdict": "terminated",
+                "steps": outcome.steps,
+                "final_vertex": outcome.final_vertex,
+                "profile": list(outcome.profile),
+            },
+            separators=(",", ":"),
+        )
+    )
+    assert out_path.read_text() == "\n".join(expected) + "\n"
+    assert peak < 1 << 20, peak
 
 
 def test_simulate_reports_cycles(capsys, t3_file):
@@ -345,6 +380,14 @@ def test_malformed_graph_is_a_content_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decide", "--input", str(path))
     assert code == 1
     assert "error:" in err
+
+
+def test_duplicate_field_is_a_content_error(capsys, t1_file, tmp_path):
+    flow = tmp_path / "flow.json"
+    flow.write_text('{"origin":0,"dest":1,"dest":1,"counts":[1,0,0,0]}')
+    code, out, err = run_cli(capsys, "verify-flow", "--input", t1_file, "--flow", str(flow))
+    assert (code, out) == (1, "")
+    assert "$.dest: duplicate field" in err
 
 
 def test_stdin_is_the_default_input(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from switchflow.flows import (
     serialize_flow,
     verify,
 )
-from switchflow.graphs import graph
+from switchflow.graphs import GraphFormatError, graph
 from switchflow.reduction import augment
 from switchflow.simulate import run_prefix
 from switchflow.suite import prefix_states
@@ -326,6 +326,14 @@ def test_flow_document_round_trip():
 @given(st.integers(), st.integers(), st.lists(st.integers()))
 def test_flow_document_round_trip_property(origin, dest, counts):
     assert parse_flow(serialize_flow(origin, dest, counts)) == (origin, dest, tuple(counts))
+
+
+def test_parse_flow_rejects_duplicate_fields():
+    with pytest.raises(GraphFormatError, match=r"^\$\.origin: duplicate field$"):
+        parse_flow('{"origin":0,"origin":1,"dest":1,"counts":[]}')
+    # a repeated key inside a nested object fails its own field's check
+    with pytest.raises(GraphFormatError, match=r"^\$\.counts\[0\]: expected integer"):
+        parse_flow('{"origin":0,"dest":1,"counts":[{"a":1,"a":2}]}')
 
 
 def test_parse_flow_rejects_malformed_documents():

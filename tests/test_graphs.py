@@ -216,6 +216,14 @@ def test_parse_rejects_unknown_field():
         parse('{"n":2,"origin":0,"dest":1,"even":[1,1],"odd":[1,1],"extra":0}')
 
 
+def test_parse_rejects_duplicate_fields():
+    # even a repeat of the same value: the decoder would keep only one
+    with pytest.raises(GraphFormatError, match=r"^\$\.n: duplicate field$"):
+        parse('{"n":2,"origin":0,"dest":1,"even":[1,1],"odd":[1,1],"n":2}')
+    with pytest.raises(GraphFormatError, match=r"^\$\.odd: duplicate field$"):
+        parse('{"n":2,"odd":[0,0],"origin":0,"dest":1,"even":[1,1],"odd":[1,1]}')
+
+
 def test_parse_rejects_missing_field():
     with pytest.raises(GraphFormatError, match=r"\$\.odd: missing required field"):
         parse('{"n":2,"origin":0,"dest":1,"even":[1,1]}')

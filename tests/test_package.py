@@ -3,6 +3,7 @@ leaves unloaded, and the immutability of the record types."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -127,6 +128,18 @@ def test_records_are_immutable(record):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         record.extra = None
+
+
+def test_the_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so every check in the package raises
+    package = os.path.dirname(switchflow.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
 
 
 def test_with_route_changes_only_the_route():

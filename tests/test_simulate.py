@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -21,6 +25,7 @@ from switchflow.simulate import (
     default_budget,
     format_trace,
     outcome_to_doc,
+    replay,
     run,
     run_prefix,
     simulate,
@@ -148,8 +153,8 @@ def test_budget_exhaustion_below_the_cycle_length():
 
 
 def _assert_matches_the_reference(g, budget=None):
-    trace = []
-    outcome = run(g, budget, trace=trace)
+    outcome = run(g, budget)
+    trace = list(replay(g, outcome.steps))
     assert (outcome, trace) == reference_run(g, budget), (g, budget)
     return outcome
 
@@ -183,8 +188,8 @@ def test_simulate_matches_the_reference_from_any_state():
             targets=set(rng.sample(range(n), rng.randrange(3))),
         )
         budget = rng.choice([None, 0, 1, 5, 30])
-        trace = []
-        outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+        outcome = simulate(g, budget=budget, **kwargs)
+        trace = list(replay(g, outcome.steps, start=kwargs["start"], switches=kwargs["switches"]))
         assert (outcome, trace) == reference_run(g, budget, **kwargs)
 
 
@@ -192,15 +197,14 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
     # n = 31..100, so switch words are multi-digit integers.  Half the
     # graphs funnel into a small trap and repeat early; budgets sit around
     # each first repeat, where a binding budget stops the run before
-    # Brent's anchors match and the repeat is found through the return
-    # time of the state the budget stopped at.
+    # Brent's anchors match and the repeat is found by stepping on from
+    # the state the budget stopped at.
     import switchflow.simulate as engine
 
-    returns = []
-    return_time = engine._return_time
-    monkeypatch.setattr(
-        engine, "_return_time", lambda *args: returns.append(return_time(*args)) or returns[-1]
-    )
+    stepped = []
+    step = engine._step
+    monkeypatch.setattr(engine, "_step", lambda *args: stepped.append(step(*args)) or stepped[-1])
+    continued_to_a_cycle = 0
     rng = random.Random(20261019)
     witnesses = []
     for i in range(300):
@@ -218,11 +222,15 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
             end = full.steps
             budgets |= {end - 1, end, end + 1, rng.randrange(end, 3 * end + 1)}
         for budget in budgets:
-            trace = []
-            outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+            stepped.clear()
+            outcome = simulate(g, budget=budget, **kwargs)
+            # a second _step is the run continued from a budget stop
+            continued_to_a_cycle += len(stepped) == 2 and stepped[1][2] is not None
+            start, switches = kwargs["start"], kwargs["switches"]
+            trace = list(replay(g, outcome.steps, start=start, switches=switches))
             assert (outcome, trace) == reference_run(g, budget, **kwargs), (g, kwargs, budget)
     assert sum(w.switches >= 1 << 30 for w in witnesses) >= 100
-    assert sum(cycle is not None for cycle in returns) >= 100
+    assert continued_to_a_cycle >= 100
 
 
 def _relabelled(family, n, rng):
@@ -253,8 +261,8 @@ def test_chains_match_the_reference_beyond_64_vertices():
                     switches=counter | top_odd << perm[top] | rng.getrandbits(1) << perm[trap],
                 )
                 for budget in (1 << j, 3 << j, None):
-                    trace = []
-                    outcome = simulate(g, budget=budget, trace=trace, **kwargs)
+                    outcome = simulate(g, budget=budget, **kwargs)
+                    trace = list(replay(g, outcome.steps, **kwargs))
                     assert (outcome, trace) == reference_run(g, budget, **kwargs), (n, j)
                 assert outcome.final_vertex == (g.dest if top_odd else perm[trap])
         for budget in (0, 1000, 5000):
@@ -262,10 +270,11 @@ def test_chains_match_the_reference_beyond_64_vertices():
 
 
 def test_run_without_cycle_detection_takes_the_whole_budget():
-    outcome = simulate(T3, budget=10, detect_cycles=False)
-    assert outcome.verdict is Verdict.BUDGET_EXHAUSTED
-    assert outcome.steps == 10
-    assert run_prefix(T3, 10) == (outcome.final_vertex, outcome.profile, 0b11)
+    # a prefix replays on past T3's first repeat at step 4
+    assert run(T3).cycle_witness.second_step == 4
+    state = run_prefix(T3, 10)
+    assert sum(state.profile) == 10
+    assert state == (0, (3, 2, 3, 2, 0, 0), 0b11)
 
 
 def test_decision_agrees_with_the_certificate_beyond_20_vertices():
@@ -288,7 +297,7 @@ def _assert_batched_matches_stepping(g):
     stops = _stops(g)
     batched = _multirun(g, stops)
     if batched is not None:
-        assert batched == simulate(g, targets=stops, detect_cycles=False), g
+        assert batched == simulate(g, targets=stops), g
     return batched
 
 
@@ -337,6 +346,31 @@ def test_batched_answers_pass_verify(monkeypatch):
         _multirun(g, _stops(g))
 
 
+def test_verify_gates_hold_without_asserts():
+    # ``python -O`` strips assert statements; the gates must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        from switchflow import flows
+        from switchflow.simulate import decide_arrival
+        from helpers import counter_chain
+
+        rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
+        flows.verify = lambda *args: rejected
+        try:
+            print(sys.flags.optimize, decide_arrival(counter_chain(64)))
+        except AssertionError as e:
+            print(sys.flags.optimize, "raised", e)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1 raised batched run profile failed verification"), result
+
+
 def test_decision_of_64_vertex_chains():
     # 2**64 - 2 and 2**62 - 1 steps: stepping would never finish
     for g, terminates, steps in (
@@ -372,10 +406,9 @@ def test_simulate_stops_at_any_target():
 
 
 def test_trace_records_every_step():
-    trace = []
-    run(T2, trace=trace)
+    trace = list(replay(T2, run(T2).steps))
     assert trace == [TraceStep(0, 0, 0, 0), TraceStep(1, 0, 1, 1)]
-    assert format_trace(trace) == "step 0: 0 -even-> 0\nstep 1: 0 -odd-> 1"
+    assert "\n".join(format_trace(trace)) == "step 0: 0 -even-> 0\nstep 1: 0 -odd-> 1"
 
 
 def test_outcome_doc_shape():
