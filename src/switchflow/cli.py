@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from typing import TYPE_CHECKING, ContextManager, Sequence, TextIO
@@ -217,7 +218,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing keeps
+    no state in it, since each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="switchflow",
         description="Switch-graph runs, switching-flow certificates, "

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .graphs import MODELS, SwitchGraph
+from .graphs import MODELS, SwitchGraph, _Valid
 
 # Probability that a layered-model slot points strictly forward.
 _FORWARD_BIAS = 0.75
@@ -44,9 +44,18 @@ class GeneratorSpec(_Spec):
             raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
         return super().__new__(cls, n, seed, model)
 
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorSpec":
+        # through the checks above, so that ``_replace`` keeps them too
+        return cls(*iterable)
+
 
 def generate(spec: GeneratorSpec) -> SwitchGraph:
-    """Deterministic: the same spec always yields a byte-identical graph."""
+    """Deterministic: the same spec always yields a byte-identical graph.
+
+    The graph is checked by construction: the spec has ``n >= 2``, every
+    successor is drawn from ``0 .. n-1``, and the origin 0 is not the
+    destination ``n - 1``."""
     rng = random.Random(spec.seed)
     n = spec.n
     even = []
@@ -57,9 +66,7 @@ def generate(spec: GeneratorSpec) -> SwitchGraph:
                 succ.append(rng.randrange(v + 1, n))
             else:
                 succ.append(rng.randrange(n))
-    return SwitchGraph(
-        n=n, even=tuple(even), odd=tuple(odd), origin=0, dest=n - 1
-    )
+    return _Valid(n=n, even=tuple(even), odd=tuple(odd), origin=0, dest=n - 1)
 
 
 def instance_stream(n_max: int, count: int, seed: int) -> list[tuple[GeneratorSpec, SwitchGraph]]:

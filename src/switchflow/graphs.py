@@ -14,9 +14,16 @@ is vertex ``v`` with parity ``p``.  Parallel slots (even and odd
 successor coinciding) stay distinct slots.
 
 Graphs are immutable after construction and safe to share across
-threads; all functions here are pure.  Construction does not validate --
-call :func:`validate` (or :func:`require_valid`) to enforce invariants,
-so that malformed records can be built and inspected in tests.
+threads; all functions here are pure.  Construction does not validate,
+so that malformed records can be built and inspected in tests: a graph
+from :func:`graph` or ``SwitchGraph(...)`` is checked by every entry
+point it is passed to.  The producers that check their graphs, or build
+them valid, return them *checked*: :func:`parse`,
+``generate.generate``, ``reduction.augment`` (its board and the two
+decision boards derived from it), and :func:`require_valid` itself.  A
+checked graph is a private subclass that entry points accept without
+checking again; it equals, hashes, prints, pickles and serializes as
+the plain graph, and replacing any of its fields gives a plain graph.
 """
 
 from __future__ import annotations
@@ -86,6 +93,26 @@ class SwitchGraph(NamedTuple):
         return preds
 
 
+class _Valid(SwitchGraph):
+    """A graph that passed :func:`validate` or was built valid."""
+
+    __slots__ = ()
+
+    # Reported as the plain class, so that it prints and pickles byte for
+    # byte as one; ``type`` still tells them apart, and a pickle loads as
+    # a plain (unchecked) graph.
+    __class__ = property(lambda self: SwitchGraph)  # type: ignore[assignment]
+
+    def __reduce_ex__(self, protocol):
+        return SwitchGraph._make(self).__reduce_ex__(protocol)
+
+    def _replace(self, **changes) -> SwitchGraph:
+        # a new route can make origin == dest, so the result is unchecked
+        return SwitchGraph._make(self)._replace(**changes)
+
+    __replace__ = _replace  # ``copy.replace``, from Python 3.13
+
+
 def graph(n: int, even, odd, origin: int, dest: int, labels=None) -> SwitchGraph:
     """Convenience constructor accepting any successor sequences."""
     return SwitchGraph(
@@ -129,10 +156,15 @@ def validate(g: SwitchGraph) -> list[str]:
 
 
 def require_valid(g: SwitchGraph) -> SwitchGraph:
+    """``g`` as a checked graph, which entry points pass on instead of
+    ``g``; raises ValueError naming every violation when it is invalid.
+    A checked graph is returned as it is."""
+    if type(g) is _Valid:
+        return g
     violations = validate(g)
     if violations:
         raise ValueError("invalid switch graph: " + "; ".join(violations))
-    return g
+    return _Valid._make(g)
 
 
 def distances_to(g: SwitchGraph, target: int) -> list[int | None]:
@@ -239,7 +271,7 @@ def parse(text: str) -> SwitchGraph:
             _expect(isinstance(item, str), f"$.labels[{i}]", f"expected string, found {item!r}")
         labels = tuple(raw)
 
-    g = SwitchGraph(
+    g = _Valid(
         n=n,
         even=_int_array(doc, "even", n),
         odd=_int_array(doc, "odd", n),

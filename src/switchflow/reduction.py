@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import SwitchGraph, require_valid, reverse_reachable
+from .graphs import SwitchGraph, _Valid, require_valid, reverse_reachable
 
 
 class AugmentedInstance(NamedTuple):
@@ -31,7 +31,8 @@ class AugmentedInstance(NamedTuple):
     ``h`` keeps the original vertex ids, with ``o_bar = n`` and
     ``d_bar = n + 1``; its origin is ``o_bar`` and its recorded dest is
     the carried-over original destination.  The two decision instances
-    derived from it are :meth:`to_dest` and :meth:`to_dbar`.
+    derived from it are :meth:`to_dest` and :meth:`to_dbar`; they are
+    checked graphs when ``h`` is.
     """
 
     h: SwitchGraph
@@ -41,18 +42,28 @@ class AugmentedInstance(NamedTuple):
     source_dest: int
 
     def to_dest(self) -> SwitchGraph:
-        return self.h.with_route(dest=self.source_dest)
+        return _route(self.h, self.source_dest)
 
     def to_dbar(self) -> SwitchGraph:
-        return self.h.with_route(dest=self.d_bar)
+        return _route(self.h, self.d_bar)
 
     @property
     def terminals(self) -> frozenset[int]:
         return frozenset((self.source_dest, self.d_bar))
 
 
+def _route(h: SwitchGraph, dest: int) -> SwitchGraph:
+    """``h`` toward ``dest``; a checked board stays valid, and checked,
+    under any dest in range other than its origin."""
+    if type(h) is _Valid and 0 <= dest < h.n and dest != h.origin:
+        n, even, odd, origin, _, labels = h
+        return _Valid(n, even, odd, origin, dest, labels)
+    return h.with_route(dest=dest)
+
+
 def augment(g: SwitchGraph) -> AugmentedInstance:
-    """Build the augmented board. Deterministic and structure-preserving."""
+    """Build the augmented board. Deterministic and structure-preserving;
+    the board is a checked graph."""
     require_valid(g)
     n, dest = g.n, g.dest
     o_bar, d_bar = n, n + 1
@@ -69,7 +80,7 @@ def augment(g: SwitchGraph) -> AugmentedInstance:
             even[v] = odd[v] = d_bar
     labels = None if g.labels is None else g.labels + ("o_bar", "d_bar")
 
-    h = SwitchGraph(
+    h = _Valid(
         n=n + 2,
         even=tuple(even),
         odd=tuple(odd),
@@ -103,13 +114,14 @@ def check_duality(g: SwitchGraph) -> DualityReport:
     A failing report falsifies the augmentation's duality and indicates
     a library bug, never a property of the input.
     """
-    from . import simulate as _sim
+    from .simulate import decide_arrival
 
+    g = require_valid(g)
     aug = augment(g)
-    return DualityReport(  # ``augment`` validated g and built both boards valid
-        g_terminates=_sim._decide(g),
-        to_dest_terminates=_sim._decide(aug.to_dest()),
-        to_dbar_terminates=_sim._decide(aug.to_dbar()),
+    return DualityReport(
+        g_terminates=decide_arrival(g),
+        to_dest_terminates=decide_arrival(aug.to_dest()),
+        to_dbar_terminates=decide_arrival(aug.to_dbar()),
     )
 
 

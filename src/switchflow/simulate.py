@@ -110,10 +110,10 @@ def simulate(
     if v in target_set:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
     if cycle is None:
-        # The budget bound first.  From a state on a cycle of lambda <= budget
-        # steps, stepping on matches at the first anchor at or past lambda,
-        # before step 3 * lambda; a cycle found off it repeats past the budget.
-        cycle = _step(heads, v, nxt[:], [0] * (2 * n), target_set, 3 * budget)[2]
+        # A repeat within the budget puts the stopped state on a cycle of at
+        # most ``budget`` steps, so it is sought by comparing the states that
+        # far on with the stopped state alone.
+        cycle = _step(heads, v, nxt[:], [0] * (2 * n), target_set, budget, "start")[2]
     if cycle is not None:
         # ``back`` was the anchor through step ``horizon``: had it lain on
         # the cycle, it would have matched by then if the cycle fits
@@ -139,10 +139,10 @@ def _step(
     profile: list[int],
     targets: Container[int],
     budget: int,
-    detect_cycles: bool = True,
+    detect_cycles: str | None = "brent",
 ) -> tuple[int, int, int | None, int, tuple | None]:
     """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
-    counting departures into ``profile``, until a target, the first Brent
+    counting departures into ``profile``, until a target, the first
     match, or the budget.
 
     Returns the steps taken, the vertex reached, the cycle length (None
@@ -159,10 +159,15 @@ def _step(
     also keeps a copy of the profile (``anchor``, and ``back`` for the one
     before), from which the first repeat is sought instead of from the
     start; below 2n steps the copies would cost more than stepping again.
-    ``detect_cycles=False`` skips the checks, for a run known to end."""
+    ``detect_cycles="start"`` compares each state with the start state
+    alone, so a match is the start's return; None skips the checks, for a
+    run known to end."""
     two_n = len(profile)
     steps = 0
     anchor_v, anchor_nxt, anchor_step = -1, None, 0
+    if detect_cycles == "start":
+        anchor_v, anchor_nxt = v, nxt[:]
+    checks, brent = detect_cycles is not None, detect_cycles == "brent"  # bools test fastest
     back = anchor = None
     while v not in targets:
         if steps >= budget:
@@ -172,10 +177,10 @@ def _step(
         nxt[v] = s ^ 1
         v = heads[s]
         steps += 1
-        if detect_cycles:
+        if checks:
             if v == anchor_v and nxt == anchor_nxt:
                 return steps, v, steps - anchor_step, anchor_step, back
-            if not steps & (steps - 1) and steps > 1:
+            if not steps & (steps - 1) and steps > 1 and brent:
                 anchor_v, anchor_nxt, anchor_step = v, nxt[:], steps
                 if steps >= two_n:
                     back, anchor = anchor, (v, anchor_nxt, steps, profile[:])
@@ -246,11 +251,6 @@ def decide_arrival(g: SwitchGraph) -> bool:
     batched passes (:func:`_multirun`) and trusted only once
     ``flows.verify`` accepts its profile; otherwise it is stepped."""
     require_valid(g)
-    return _decide(g)
-
-
-def _decide(g: SwitchGraph) -> bool:
-    """:func:`decide_arrival` on a graph known to be valid."""
     n, dest = g.n, g.dest
     heads, nxt, profile = g.heads(), list(range(0, 2 * n, 2)), [0] * (2 * n)
     _, v, cycle, _, _ = _step(heads, g.origin, nxt, profile, (dest,), 4 * n)
@@ -261,7 +261,7 @@ def _decide(g: SwitchGraph) -> bool:
     if outcome is not None:
         v = outcome.final_vertex
     else:  # stepped on without Brent's checks: a run toward the stops never repeats
-        v = _step(heads, v, nxt, profile, stops, default_budget(n), detect_cycles=False)[1]
+        v = _step(heads, v, nxt, profile, stops, default_budget(n), None)[1]
     if v not in stops:
         raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
     return v == dest

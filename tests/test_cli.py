@@ -303,6 +303,39 @@ def test_solve_emits_certificates(capsys, t1_file, t3_file):
     assert json.loads(out)["kind"] == "non-termination"
 
 
+def test_graph_commands_validate_their_input_once(capsys, monkeypatch, tmp_path):
+    from switchflow import graphs
+
+    path = tmp_path / "counter.json"
+    path.write_text(serialize(counter_chain(9)))
+    calls = []
+    real = graphs.validate
+    monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
+    for command in ("decide", "simulate", "reduce", "solve"):
+        calls.clear()
+        assert run_cli(capsys, command, "--input", str(path))[0] == 0, command
+        assert len(calls) == 1, command
+
+
+def test_one_parser_serves_every_call(capsys, t1_file):
+    from switchflow.cli import build_parser
+    from switchflow.generate import GeneratorSpec, generate
+
+    assert build_parser() is build_parser()
+    seeded = run_cli(capsys, "gen", "--n", "5", "--seed", "5", "--model", "layered")
+    default = run_cli(capsys, "gen", "--n", "5")
+    assert seeded == (0, serialize(generate(GeneratorSpec(5, 5, "layered"))) + "\n", "")
+    assert default == (0, serialize(generate(GeneratorSpec(5, 0, "uniform"))) + "\n", "")
+    assert run_cli(capsys, "decide", "--input", t1_file, "--json") == (
+        0, '{"terminates":true}\n', ""
+    )
+    assert run_cli(capsys, "decide", "--input", t1_file) == (0, "terminates\n", "")
+    args = build_parser().parse_args(["simulate", "--budget", "3", "--trace"])
+    assert (args.budget, args.trace) == (3, True)
+    args = build_parser().parse_args(["simulate"])
+    assert (args.budget, args.trace, args.input, args.output) == (None, False, None, None)
+
+
 def test_check_passes_on_the_default_suite(capsys):
     code, out, _ = run_cli(capsys, "check", "--n-max", "8", "--count", "200", "--seed", "7")
     assert code == 0

@@ -32,6 +32,8 @@ def test_spec_rejects_bad_arguments():
         GeneratorSpec(n=1, seed=0)
     with pytest.raises(ValueError, match="unknown model"):
         GeneratorSpec(n=3, seed=0, model="dense")
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        GeneratorSpec(n=3, seed=0)._replace(n=1)
 
 
 def test_stream_cycles_sizes_and_models():

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from switchflow.generate import GeneratorSpec, generate
 from switchflow.graphs import (
     EVEN,
     ODD,
     GraphFormatError,
+    SwitchGraph,
     graph,
     parse,
     require_valid,
@@ -19,6 +22,8 @@ from switchflow.graphs import (
     to_dot,
     validate,
 )
+from switchflow.reduction import augment
+from switchflow.simulate import decide_arrival
 
 from helpers import T1, T2, T3, closure_reachable, random_graph
 
@@ -117,8 +122,47 @@ def test_require_valid_raises_with_all_violations():
         require_valid(g)
 
 
-def test_require_valid_returns_the_graph():
-    assert require_valid(T1) is T1
+def test_require_valid_returns_the_graph_checked():
+    checked = require_valid(T1)
+    assert checked == T1
+    assert type(checked) is not type(T1)  # graphs from graph() stay unchecked
+    assert require_valid(checked) is checked
+
+
+def _checked_graphs():
+    g = graph(3, [1, 2, 2], [0, 2, 2], 0, 2, labels=["a", 'b"', "c"])
+    aug = augment(g)
+    yield parse(serialize(g))
+    yield require_valid(g)
+    yield generate(GeneratorSpec(n=7, seed=3, model="layered"))
+    yield from (aug.h, aug.to_dest(), aug.to_dbar())
+
+
+def test_checked_graphs_behave_as_plain_graphs():
+    for checked in _checked_graphs():
+        plain = SwitchGraph(*checked)
+        assert type(checked) is not SwitchGraph and type(plain) is SwitchGraph
+        assert repr(checked) == repr(plain) and repr(plain).startswith("SwitchGraph(")
+        assert checked == plain and hash(checked) == hash(plain)
+        assert serialize(checked) == serialize(plain)
+        assert to_dot(checked) == to_dot(plain)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(checked, protocol)
+            assert data == pickle.dumps(plain, protocol)
+            loaded = pickle.loads(data)
+            assert loaded == plain and type(loaded) is SwitchGraph
+
+
+def test_a_new_route_on_a_checked_graph_is_checked_again():
+    checked = parse(serialize(T3))
+    moves = (checked.with_route(dest=0), checked._replace(dest=0), checked.__replace__(dest=0))
+    for moved in moves:
+        assert type(moved) is SwitchGraph
+        with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
+            require_valid(moved)
+        with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
+            decide_arrival(moved)
+    assert type(checked.with_route(dest=1)) is SwitchGraph
 
 
 def test_with_route_changes_only_the_route():

@@ -174,3 +174,53 @@ def test_each_entry_point_validates_once(monkeypatch):
         assert len(calls) == 1, entry.__name__
         with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
             entry(bad)
+
+
+def _entry_points():
+    from switchflow.local_search import solve_s_arrival
+    from switchflow.simulate import run, run_prefix
+
+    return {
+        "decide_arrival": decide_arrival,
+        "run": run,
+        "run_prefix": lambda g: run_prefix(g, 3),
+        "augment": augment,
+        "check_duality": check_duality,
+        "solve_s_arrival": solve_s_arrival,
+    }
+
+
+def test_checked_graphs_are_not_validated_again(monkeypatch):
+    from switchflow import graphs
+    from switchflow.generate import GeneratorSpec, generate
+
+    from helpers import counter_chain
+
+    calls = []
+    real = graphs.validate
+    monkeypatch.setattr(graphs, "validate", lambda g: calls.append(g) or real(g))
+    text = graphs.serialize(counter_chain(9))
+    producers = {
+        "parse": lambda: graphs.parse(text),
+        "generate": lambda: generate(GeneratorSpec(n=9, seed=4)),
+        "augment": lambda: augment(graphs.parse(text)).to_dest(),
+        "graph": lambda: counter_chain(9),
+    }
+    for producer, make in producers.items():
+        for name, entry in _entry_points().items():
+            g = make()
+            calls.clear()
+            entry(g)
+            assert len(calls) == (producer == "graph"), (producer, name)
+
+
+def test_hand_built_boards_stay_unchecked():
+    aug = augment(T3)
+    with pytest.raises(ValueError, match=r"^invalid switch graph: dest: vertex out of range"):
+        decide_arrival(aug._replace(d_bar=9).to_dbar())
+    with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
+        decide_arrival(aug._replace(source_dest=aug.o_bar).to_dest())
+    n, even, odd, origin, dest, _ = aug.h
+    bad_board = graph(n, (9,) + even[1:], odd, origin, dest)
+    with pytest.raises(ValueError, match=r"^invalid switch graph: even\[0\]: successor out"):
+        decide_arrival(aug._replace(h=bad_board).to_dest())

@@ -233,6 +233,40 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
     assert continued_to_a_cycle >= 100
 
 
+def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
+    # A run the budget stops repeats within the budget only if the stopped
+    # state recurs within it, so the run steps on at most ``budget`` states
+    # before the first repeat is sought.  The trapped counter's cycle has
+    # 2**41 - 2 states, so no repeat is sought there.
+    import switchflow.simulate as engine
+
+    calls = []
+    step, first_repeat = engine._step, engine._first_repeat
+    monkeypatch.setattr(engine, "_step", lambda *args: calls.append(step(*args)) or calls[-1])
+    monkeypatch.setattr(
+        engine, "_first_repeat", lambda *args: calls.append("repeat") or first_repeat(*args)
+    )
+    rng = random.Random(20261018)
+    cases = [(trapped_counter(40), budget) for budget in (1, 1000, 10**4)]
+    for _ in range(100):
+        g = random_trap_graph(rng, rng.randrange(31, 101))
+        end = reference_run(g, 4000)[0].steps
+        cases += [(g, budget) for budget in (end - 1, end, end + 1, 2 * end)]
+    stopped = continued_to_a_cycle = 0
+    for g, budget in cases:
+        calls.clear()
+        outcome = run(g, budget)
+        assert outcome == reference_run(g, budget)[0], (g, budget)
+        if calls[0][2] is not None or outcome.verdict is Verdict.TERMINATED:
+            continue  # Brent's anchors matched, or the run ended, within the budget
+        stopped += 1
+        assert calls[0][0] == budget
+        assert calls[1][0] <= budget, (g, budget)
+        assert calls[2:] == (["repeat"] if calls[1][2] is not None else []), (g, budget)
+        continued_to_a_cycle += calls[1][2] is not None
+    assert stopped >= 200 and continued_to_a_cycle >= 100, (stopped, continued_to_a_cycle)
+
+
 def _relabelled(family, n, rng):
     perm = list(range(n))
     rng.shuffle(perm)
