@@ -16,8 +16,9 @@ required imbalance being 0 everywhere; the local-search layer needs the
 all-zero flow at the fresh origin to count as valid.
 
 :func:`complete` turns any flow into a full certificate on an augmented
-board: it re-runs the token from the flow's endpoint with the switches
-preset to the flow's parity imbalances, and adds the resulting profile
+board: it runs the token from the flow's endpoint with the switches
+preset to the flow's parity imbalances to the first terminal (the
+stopped run of :mod:`switchflow.simulate`), and adds that run's profile
 on top.  :func:`check_bounds` audits the per-slot ceilings that make the
 completed flows (and hence the local-search state space) fixed-width:
 no slot outside the reached terminal ever exceeds ``2**m - 1`` on a
@@ -152,11 +153,10 @@ def complete(aug: AugmentedInstance, u: int, counts: Sequence[int]) -> Completio
     if u in (aug.source_dest, aug.d_bar):
         return Completion(u, tuple(x))
 
-    switches = sum(1 << v for v in range(h.n) if x[2 * v] - x[2 * v + 1] == 1)
-    outcome = _sim.simulate(h, start=u, switches=switches, targets=aug.terminals)
+    outcome = _sim._stopped_run(h, u, _sim._switch_word(x), aug.terminals)
     if outcome.verdict is not _sim.Verdict.TERMINATED:
         raise CompletionError(
-            f"completion run did not terminate (verdict {outcome.verdict.value}); "
+            f"completion run did not reach a terminal within {outcome.steps} steps; "
             "this contradicts the flow bound and indicates a bug"
         )
     reached = outcome.final_vertex

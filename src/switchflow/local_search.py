@@ -22,9 +22,12 @@ terminates, a flow to the fresh sink witnesses that it does not.
 Extracting either solves the search problem outright.
 
 :func:`walk_localopt` checks the start state once with the total
-potential and then steps a mutable flow in O(1) per step: by the
-argument above, every state after a valid one stays valid until it
-reaches a terminal or its next entry would pass the field cap.
+potential: by the argument above, every state after a valid one stays
+valid until it reaches a terminal or its next entry would pass the
+field cap.  So the walk from a valid state is the token run to the
+terminals whose switches are the flow's parity imbalances, computed as
+one stopped run (batched when one vertex cuts every cycle), not a step
+per unit of potential.
 
 States encode to fixed-width bit strings (vertex index, then one
 ``m+1``-bit field per slot), so the pair also exists at the bit level;
@@ -34,11 +37,13 @@ potential shifted up by one to stay nonnegative.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterator, NamedTuple
 
 from . import flows as _flows
 from .graphs import SolverError, SwitchGraph
 from .reduction import AugmentedInstance, augment
+from .simulate import _stopped_run, _switch_word, replay
 
 TERMINATION = "termination"
 NON_TERMINATION = "non-termination"
@@ -185,33 +190,42 @@ def walk_localopt(
     Returns the first state whose potential is at least its neighbor's,
     plus the number of neighbor applications taken to reach it; raises
     :class:`WalkError` when that takes more than ``budget`` of them.
+
+    From a valid state the walk is the stopped run to the terminals whose
+    switches are the flow's parity imbalances: it ends at the start flow
+    plus that run's profile, unless the sum passes the field cap, and
+    then the run is replayed to the step that would pass it.
     """
     limit = inst.default_budget() if budget is None else budget
     state = inst.reset if start is None else start
-    steps = 0
-    if inst.potential(state) < 0:
-        state, steps = inst.reset, 1
-    v, flow = state.vertex, list(state.flow)
-    even, odd = inst.h.even, inst.h.odd
-    terminals, cap = inst._terminals, inst.max_entry
-    # A valid terminal state resets (potential 0 <= its own), and a step
-    # past the cap leaves the domain (potential -1): either way the
-    # current state is the optimum.
-    while v not in terminals and steps <= limit:
-        slot = 2 * v + flow[2 * v] - flow[2 * v + 1]
-        if flow[slot] >= cap:
-            break
-        flow[slot] += 1
-        v = odd[v] if slot & 1 else even[v]
-        steps += 1
-    if steps > limit:
+    taken = 0
+    if start is not None and inst.potential(state) < 0:  # the reset state is valid
+        state, taken = inst.reset, 1
+    v, flow = state
+    fresh = state is inst.reset  # the zero flow: even switches, nothing to add
+    cap, switches = inst.max_entry, 0 if fresh else _switch_word(flow)
+    # more than 2m * cap steps from a state in the domain pass the cap
+    room = max(0, min(limit - taken, 2 * inst.m * cap) + 1)
+    outcome = _stopped_run(inst.h, v, switches, inst._terminals, room)
+    end = outcome.profile if fresh else tuple(map(add, flow, outcome.profile))
+    if max(end) > cap:  # a step past the cap leaves the domain: stop before it
+        counts = list(flow)
+        for step in replay(inst.h, outcome.steps, start=v, switches=switches):
+            if counts[2 * step.tail + step.parity] >= cap:
+                break
+            counts[2 * step.tail + step.parity] += 1
+            v, taken = step.head, taken + 1
+        end = tuple(counts)
+    else:  # at a terminal (which resets), or out of room and so past the limit
+        v, taken = outcome.final_vertex, taken + outcome.steps
+    if taken > limit:
         reason = (
             "contradicts the ascent bound and indicates a bug"
             if budget is None
             else "the given budget ran out"
         )
         raise WalkError(f"no local optimum within {limit} steps; {reason}")
-    return WalkResult(SearchState(v, tuple(flow)), steps)
+    return WalkResult(SearchState(v, end), taken)
 
 
 def extract_certificate(inst: LocalOptInstance, solution: SearchState) -> Certificate:
@@ -273,16 +287,13 @@ def walk_trace(inst: LocalOptInstance, start: SearchState, steps: int) -> Iterat
     an invalid start is followed by the reset state, and the walk from a
     valid state is the token run whose switches are the flow's parity
     imbalances, each step adding one to a slot and to the potential."""
-    from .simulate import replay
-
     v, flow = start.vertex, list(start.flow)
     potential = inst.potential(start)
     yield {"vertex": v, "counts": flow[:], "potential": potential}
     if potential < 0 < steps:
         v, flow, potential, steps = inst.reset.vertex, list(inst.reset.flow), 0, steps - 1
         yield {"vertex": v, "counts": flow[:], "potential": potential}
-    switches = sum(1 << u for u in range(len(flow) // 2) if flow[2 * u] != flow[2 * u + 1])
-    for step in replay(inst.h, steps, start=v, switches=switches):
+    for step in replay(inst.h, steps, start=v, switches=_switch_word(flow)):
         flow[2 * step.tail + step.parity] += 1
         potential += 1
         yield {"vertex": step.head, "counts": flow[:], "potential": potential}

@@ -19,13 +19,15 @@ visited one, so runs need O(n) memory at any ``n``.
 The engine computes outcomes only.  Traces and prefixes replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
 
-The decision stops a long run where the destination falls out of reach,
-and when a single vertex cuts every cycle of the vertices that can still
-reach it, computes that stopped run without stepping: batched passes
-fire each vertex's whole token count at once, a bisection over the
-feedback vertex's departure count finds the run profile, and
-``flows.verify`` checks it before it is trusted.  Other long runs are
-stepped.
+One stopped run, from any vertex and switch word to the first of a set
+of stops, serves :func:`run`, :func:`decide_arrival`, the local-search
+walk and flow completion.  A run from the origin that outlasts a
+``4n``-step phase is stopped where the destination falls out of reach.
+When one vertex cuts every cycle of the non-stop vertices, the stopped
+run is computed without stepping: batched passes fire each vertex's
+whole token count at once, a bisection over the feedback vertex's
+departure count finds the run profile, and ``flows.verify`` checks it
+before it is trusted.  Other stopped runs are stepped.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -34,7 +36,7 @@ are exact at any magnitude.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import PARITY_NAMES, SwitchGraph, require_valid, reverse_reachable
 
@@ -92,11 +94,11 @@ def simulate(
 ) -> RunOutcome:
     """Run the token until a target vertex, a repeated state, or the budget.
 
-    This is the engine behind :func:`run`, :func:`decide_arrival`, the
-    flow-completion procedure, and the local-search oracles: it allows an
-    arbitrary start vertex, initial switch positions, and a *set* of
-    stopping vertices.  The graph is assumed valid.  The outcome's steps
-    are replayed by :func:`replay`.
+    This is the engine behind a budgeted :func:`run`, the repeat of a run
+    stopped where the destination is out of reach, and the test oracles:
+    it allows an arbitrary start vertex, initial switch positions, and a
+    *set* of stopping vertices.  The graph is assumed valid.  The
+    outcome's steps are replayed by :func:`replay`.
     """
     n = g.n
     target_set = (g.dest,) if targets is None else frozenset(targets)
@@ -214,9 +216,24 @@ def _first_repeat(
 def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
     """Simulate the run from the graph's origin to its destination.  The
     default budget ``2n * 2**n`` exceeds the ``n * 2**n`` states, so
-    without a budget the verdict is always decisive."""
-    require_valid(g)
-    return simulate(g, budget=budget)
+    without a budget the verdict is always decisive.
+
+    Without a budget, a long run is :func:`_long_run`'s stopped run.  A
+    token it leaves at step ``T`` where the destination is out of reach
+    stays there, on switches untouched until ``T``: the run repeats first
+    where the run from that state does, ``T`` steps on."""
+    g = require_valid(g)
+    stopped = None if budget is not None else _long_run(g)[1]
+    if stopped is None:
+        return simulate(g, budget=budget)
+    x, t, p = stopped.final_vertex, stopped.steps, stopped.profile
+    if x == g.dest:
+        return stopped
+    rest = simulate(g, start=x, switches=_switch_word(p), targets=())
+    w = rest.cycle_witness
+    w = w._replace(first_step=t + w.first_step, second_step=t + w.second_step)
+    profile = tuple(a + b for a, b in zip(p, rest.profile))
+    return RunOutcome(rest.verdict, profile, t + rest.steps, rest.final_vertex, w)
 
 
 def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
@@ -236,93 +253,142 @@ def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
             )
         p[2 * step.tail + step.parity] += 1
         v = step.head
-    switches = sum(1 << u for u in range(g.n) if (p[2 * u] + p[2 * u + 1]) & 1)
-    return PrefixState(v, tuple(p), switches)
+    return PrefixState(v, tuple(p), _switch_word(p))
+
+
+def _switch_word(counts: Sequence[int]) -> int:
+    """The switch word after departures ``counts``: their parity imbalances."""
+    return sum(1 << v for v in range(len(counts) // 2) if (counts[2 * v] + counts[2 * v + 1]) & 1)
 
 
 def decide_arrival(g: SwitchGraph) -> bool:
-    """True iff the run from origin reaches the destination.
+    """True iff the run from origin reaches the destination."""
+    g = require_valid(g)
+    return _long_run(g)[0] == g.dest
 
-    Runs that end or repeat early are settled within ``4n`` steps.  Any
-    other run stops where the destination falls out of reach: the token
-    never arrives from a vertex with no path to it, and a run that keeps
-    to the vertices with one arrives (Dohrau et al.).  When one vertex
-    cuts every cycle of the others, that stopped run is computed by
-    batched passes (:func:`_multirun`) and trusted only once
-    ``flows.verify`` accepts its profile; otherwise it is stepped."""
-    require_valid(g)
+
+def _long_run(g: SwitchGraph) -> tuple[int, RunOutcome | None]:
+    """Where the run from the origin stops, and the stopped run, or None
+    when a ``4n``-step phase with Brent's checks settles it.  A run kept
+    to the vertices that can reach the destination arrives (Dohrau et
+    al.), so it is stopped at the destination or where it falls out of reach."""
     n, dest = g.n, g.dest
     heads, nxt, profile = g.heads(), list(range(0, 2 * n, 2)), [0] * (2 * n)
-    _, v, cycle, _, _ = _step(heads, g.origin, nxt, profile, (dest,), 4 * n)
-    if v == dest or cycle is not None:  # arrived, or repeated before arriving
-        return v == dest
+    steps, v, cycle, _, _ = _step(heads, g.origin, nxt, profile, (dest,), 4 * n)
+    if v == dest or cycle is not None:
+        return v, None
     stops = set(range(n)) - reverse_reachable(g, dest) | {dest}
-    outcome = _multirun(g, stops)
-    if outcome is not None:
-        v = outcome.final_vertex
-    else:  # stepped on without Brent's checks: a run toward the stops never repeats
-        v = _step(heads, v, nxt, profile, stops, default_budget(n), None)[1]
+    if v in stops:
+        return v, None
+    # that region is closed, so the phase is the stopped run's first steps
+    stopped = _stopped_run(g, g.origin, 0, stops, prefix=(steps, v, nxt, profile))
+    v = stopped.final_vertex
     if v not in stops:
         raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
-    return v == dest
+    return v, stopped
 
 
-def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
-    """The run from the origin to the first of ``stops``, computed in
-    batched passes, or None when no single vertex ``s`` leaves the other
-    non-stop vertices acyclic.  Every vertex must reach a stop.
+def _stopped_run(
+    g: SwitchGraph, start: int, switches: int, stops: Container[int],
+    budget: int | None = None, *, prefix: tuple | None = None,
+) -> RunOutcome:
+    """The run from ``start`` and the switch word ``switches`` to the first
+    of ``stops``, or its first ``budget`` steps (default ``2n * 2**n``),
+    without cycle checks: a run toward stops that every vertex reaches
+    repeats no state.  A ``4n``-step phase, or a caller's ``prefix =
+    (steps, vertex, table, profile)`` of the run (stepped on in place),
+    ends short runs; longer ones are batched (:func:`_multirun`) or stepped."""
+    n = g.n
+    budget = default_budget(n) if budget is None else budget
+    heads = g.heads()
+    if prefix is None:
+        nxt, profile = _departures(n, switches), [0] * (2 * n)
+        steps, v = _step(heads, start, nxt, profile, stops, min(4 * n, budget), None)[:2]
+    else:
+        steps, v, nxt, profile = prefix
+    if v not in stops and steps < budget:
+        batched = _multirun(g, stops, start, switches, departed=profile)
+        if batched is not None and batched.steps <= budget:
+            return batched
+        more, v = _step(heads, v, nxt, profile, stops, budget - steps, None)[:2]
+        steps += more
+    verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED
+    return RunOutcome(verdict, tuple(profile), steps, v)
 
-    Given ``w`` departures from ``s``, one pass fires ``s`` ``w`` times
-    and then every other non-stop vertex once, in topological order: a
-    vertex holding ``k`` tokens sends ``ceil(k/2)`` through its even slot
-    and ``floor(k/2)`` through its odd one (Gärtner, Haslebacher, Hoang,
-    multi-run over a vertex subset).  The tokens the stops absorb never
-    fall and rise by at most one per unit of ``w``, and the least ``w``
-    at which one is absorbed is the run's own departure count from
-    ``s``, so that pass's slot counts are the run profile.  Since the
-    run profile is at most any switching flow, the result is returned
-    only as a flow that ``flows.verify`` accepts and that leaves every
-    stop's slots at zero: that proves the run stops where it says."""
+
+def _multirun(
+    g: SwitchGraph, stops: Container[int], start: int | None = None, switches: int = 0,
+    *, departed: list[int] | None = None,
+) -> RunOutcome | None:
+    """The run from ``start`` (default: the origin) and the switch word
+    ``switches`` to the first of ``stops``, in batched passes, or None
+    when no vertex ``s`` leaves the other non-stop vertices acyclic or
+    some vertex reaches no stop.  ``departed``, the slot counts of a
+    prefix of the run, picks ``s`` first and bounds its departures.
+
+    A pass fires ``s`` ``w`` times, then each other non-stop vertex once
+    in topological order: ``k`` tokens send ``ceil(k/2)`` through the slot
+    the switch points at, ``floor(k/2)`` through the other (Gärtner,
+    Haslebacher, Hoang).  The tokens absorbed at stops rise by at most one
+    per unit of ``w``, so ``a`` of them bound the least absorbing ``w`` by
+    ``w - a + 1``; that ``w`` is the run's departure count from ``s``, and
+    its pass's slot counts are the run profile, returned only once
+    ``flows.verify`` accepts it (with preset switches' slots swapped)."""
     from . import flows
 
-    found = _feedback_vertex(g, set(range(g.n)) - stops)
+    n = g.n
+    # the most departed vertex of a prefix is the likeliest to cut every cycle
+    guess = None if departed is None else departed.index(max(departed)) >> 1
+    found = _feedback_vertex(g, set(range(n)).difference(stops), guess)
     if found is None:
         return None
     s, order = found
     order.insert(0, s)
-    n, even, odd, origin = g.n, g.even, g.odd, g.origin
+    start = g.origin if start is None else start
+    heads, nxt = g.heads(), _departures(n, switches)
+    passes = [(v, heads[nxt[v]], heads[nxt[v] ^ 1]) for v in order]
 
-    def fire(w: int) -> tuple[list[int], list[int]]:
+    def fire(w: int) -> list[int]:
         tokens = [0] * n
-        tokens[origin] = 1
-        tokens[s] = w  # the origin's token is one of them when s is the origin
-        profile = [0] * (2 * n)
-        for v in order:
+        tokens[start] = 1
+        tokens[s] = w  # the start's token is one of them when s is the start
+        for v, first, second in passes:
             k = tokens[v]
-            profile[2 * v] = k_even = k - (k >> 1)
-            profile[2 * v + 1] = k_odd = k >> 1
-            tokens[even[v]] += k_even
-            tokens[odd[v]] += k_odd
-        return tokens, profile
+            tokens[first] += k - (k >> 1)
+            tokens[second] += k >> 1
+        return tokens
 
-    def absorbs(w: int) -> bool:
-        tokens, _ = fire(w)
-        return any(tokens[t] for t in stops)
+    def absorbed(w: int) -> int:  # the tokens fired less those back at s
+        return w + (start != s) - (fire(w)[s] - w)
 
-    lo, hi = -1, 0
-    while not absorbs(hi):
+    lo = -1 if departed is None else departed[2 * s] + departed[2 * s + 1] - 1
+    hi = lo + 1
+    a = absorbed(hi)
+    while not a:
         if hi >= 8 << n:
-            raise AssertionError("no departure count within the slot ceilings; indicates a bug")
+            return None
         lo, hi = hi, 2 * hi + 1
+        a = absorbed(hi)
+    hi -= a - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if absorbs(mid):
+        if absorbed(mid):
             hi = mid
         else:
             lo = mid
-    tokens, profile = fire(hi)
+    tokens = fire(hi)
+    tokens[s] = hi  # each vertex's count is the tokens it fired
+    profile = [0] * (2 * n)
+    for v in order:
+        profile[nxt[v]] = tokens[v] - (tokens[v] >> 1)
+        profile[nxt[v] ^ 1] = tokens[v] >> 1
     reached = next(t for t in stops if tokens[t])
-    report = flows.verify(g, origin, reached, profile)
+    board, counts = g, profile
+    if switches:  # the run from even switches on the board with preset slots swapped
+        even, odd = (tuple(heads[si ^ p] for si in nxt) for p in (0, 1))
+        board = SwitchGraph(n, even, odd, start, reached)
+        counts = [profile[si ^ p] for si in nxt for p in (0, 1)]
+    report = flows.verify(board, start, reached, counts)
     if not report.valid or any(profile[2 * t] or profile[2 * t + 1] for t in stops):
         raise AssertionError(
             "batched run profile failed verification: "
@@ -331,16 +397,25 @@ def _multirun(g: SwitchGraph, stops: set[int]) -> RunOutcome | None:
     return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), reached)
 
 
-def _feedback_vertex(g: SwitchGraph, vertices: set[int]) -> tuple[int, list[int]] | None:
+def _feedback_vertex(
+    g: SwitchGraph, vertices: set[int], guess: int | None = None
+) -> tuple[int, list[int]] | None:
     """A vertex whose removal leaves ``vertices`` acyclic, with a
     topological order of the rest, or None.  Such a vertex lies on every
-    cycle, so only the vertices of one cycle are tried, and each failure
-    narrows them to a cycle that avoids it: O(n) per try."""
-    order, left = _topological_order(g, vertices)
+    cycle, so after ``guess`` (if one of ``vertices``) only the vertices
+    of one cycle are tried, unless the rest holds a cycle too, and each
+    failure narrows them to a cycle that avoids it: O(n) per try."""
+    if guess not in vertices:
+        guess = None
+    order, left = _topological_order(g, vertices - {guess})
     if not left:
+        if guess is not None:
+            return guess, order
         return (order[0], order[1:]) if order else None
     preds = g.predecessor_slots()
     candidates = _cycle(preds, left)
+    if _topological_order(g, vertices.difference(candidates))[1]:
+        return None  # a second cycle, disjoint from the first
     while candidates:
         s = candidates.pop()
         order, left = _topological_order(g, vertices - {s})

@@ -66,6 +66,21 @@ def trap_chain(n: int) -> SwitchGraph:
     return graph(n, even, odd, 0, n - 1)
 
 
+def chain_into_trap(rng: random.Random, g: SwitchGraph, t: int) -> SwitchGraph:
+    """A counter or bouncer chain ``g`` plus a closed random region of
+    ``t`` vertices, relabelled at random.  The even slot of the vertex
+    before the destination, its first departure, enters the region, so
+    the run falls in late, never arrives, and repeats a state there."""
+    n = g.n
+    region = range(n, n + t)
+    even = list(g.even) + [rng.choice(region) for _ in region]
+    odd = list(g.odd) + [rng.choice(region) for _ in region]
+    even[n - 2] = rng.choice(region)
+    perm = list(range(n + t))
+    rng.shuffle(perm)
+    return relabel(graph(n + t, even, odd, g.origin, g.dest), perm)
+
+
 def relabel(g: SwitchGraph, perm: list[int]) -> SwitchGraph:
     """The same board with vertex ``v`` renamed ``perm[v]``."""
     even = [0] * g.n

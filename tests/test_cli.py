@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -135,6 +136,34 @@ def test_decide_answers_a_64_vertex_counter(capsys, tmp_path):
     path = tmp_path / "counter64.json"
     path.write_text(serialize(counter_chain(64)))
     assert run_cli(capsys, "decide", "--input", str(path)) == (0, "terminates\n", "")
+
+
+def test_solve_certifies_a_64_vertex_counter_for_verify_flow(capsys, tmp_path):
+    # the certificate carries 2**64 - 1 units; verify-flow checks it
+    # against the augmented board that reduce prints
+    graph_path, board_path, flow_path = (tmp_path / name for name in ("g", "board", "flow"))
+    graph_path.write_text(serialize(counter_chain(64)))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "solve", "--input", str(graph_path))
+    assert code == 0
+    cert = json.loads(out)
+    assert cert.pop("kind") == "termination" and sum(cert["counts"]) == (1 << 64) - 1
+    flow_path.write_text(json.dumps(cert))
+    code, out, _ = run_cli(capsys, "reduce", "--input", str(graph_path))
+    board_path.write_text(out.splitlines()[0])
+    code, out, _ = run_cli(
+        capsys, "verify-flow", "--input", str(board_path), "--flow", str(flow_path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_simulate_answers_a_64_vertex_counter(capsys, tmp_path):
+    path = tmp_path / "counter64.json"
+    path.write_text(serialize(counter_chain(64)))
+    code, out, _ = run_cli(capsys, "simulate", "--input", str(path))
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["steps"]) == (0, "terminated", (1 << 64) - 2)
 
 
 def test_decide_json_verdict(capsys, t3_file):

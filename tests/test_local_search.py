@@ -4,6 +4,7 @@ against the neighbor/potential iteration), and certificate extraction."""
 from __future__ import annotations
 
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -27,9 +28,10 @@ from switchflow.local_search import (
     walk_localopt,
     walk_trace,
 )
+from switchflow.flows import check_bounds, verify
 from switchflow.graphs import SwitchGraph
 from switchflow.reduction import AugmentedInstance, augment
-from switchflow.simulate import decide_arrival
+from switchflow.simulate import _multirun, decide_arrival
 from switchflow.suite import prefix_states
 
 from helpers import (
@@ -37,10 +39,13 @@ from helpers import (
     T2,
     T3,
     acceptance_instances,
+    bouncer_chain,
     counter_chain,
     random_graph,
     reference_walk,
     reference_walk_trace,
+    relabel,
+    trap_chain,
 )
 
 INST1 = LocalOptInstance(augment(T1))
@@ -392,3 +397,72 @@ def test_walk_stops_where_the_next_entry_would_pass_the_cap():
     assert solution == SearchState(1, (0, 0, 16, 16, 1, 0, 0, 0))
     assert steps == 33
     assert inst.is_local_optimum(solution)
+
+
+# -- walks that outlast the short phase: the stopped run ------------------
+
+
+def _long_walk_boards():
+    rng = random.Random(29)
+    graphs = []
+    for family, sizes in ((counter_chain, range(5, 11)), (trap_chain, range(5, 12))):
+        for n in sizes:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(relabel(family(n), perm))
+    graphs += [bouncer_chain(n) for n in range(5, 13)]
+    graphs += [random_graph(rng, rng.randrange(8, 16)) for _ in range(20)]
+    return graphs
+
+
+def test_long_walks_agree_with_the_reference(monkeypatch):
+    # from the reset state and from valid states along the walk, whose
+    # switches are preset mid-run, with and without binding budgets
+    import switchflow.simulate as engine
+
+    batched = []
+    multirun = engine._multirun
+    monkeypatch.setattr(
+        engine, "_multirun", lambda *a, **k: batched.append(multirun(*a, **k)) or batched[-1]
+    )
+    rng = random.Random(31)
+    for g in _long_walk_boards():
+        inst = LocalOptInstance(augment(g))
+        solution, _ = _assert_walks_agree(inst, None)
+        assert solve_s_arrival(g) == extract_certificate(inst, solution), g
+        path = prefix_states(inst.h, inst.aug.terminals)
+        for t in sorted(rng.sample(range(len(path)), min(3, len(path)))):
+            state = SearchState(path[t].vertex, path[t].profile)
+            _assert_walks_agree(inst, state)
+            flow = list(state.flow)
+            flow[rng.randrange(len(flow))] = inst.max_entry
+            _assert_walks_agree(inst, SearchState(state.vertex, tuple(flow)))
+    assert sum(outcome is not None for outcome in batched) >= 50
+
+
+def test_a_walk_stops_at_the_cap_on_a_cycle_without_terminals():
+    # fresh origin 4 feeds vertex 1, and vertices 1, 2 and 3 circle without
+    # a path to either terminal, so the walk ends where a slot would pass
+    # the cap; vertex 1 cuts the cycle, but no departure count of it lets
+    # a token out, so the batched pass gives up and the run is stepped
+    h = SwitchGraph(n=6, even=(0, 2, 3, 1, 1, 5), odd=(0, 3, 1, 1, 1, 5), origin=4, dest=0)
+    aug = AugmentedInstance(h=h, o_bar=4, d_bar=5, x_d=frozenset(), source_dest=0)
+    inst = LocalOptInstance(aug)
+    assert _multirun(h, inst.aug.terminals) is None
+    solution, steps = _assert_walks_agree(inst, None)
+    assert (solution.vertex, steps, max(solution.flow)) == (1, 289, inst.max_entry)
+
+
+def test_certificates_of_64_vertex_chains():
+    # 2**64 - 1 and 2**62 + 1 steps: the walk is the batched stopped run
+    for g, kind, size in (
+        (counter_chain(64), TERMINATION, (1 << 64) - 1),
+        (trap_chain(64), NON_TERMINATION, (1 << 62) + 1),
+    ):
+        start = time.perf_counter()
+        cert = solve_s_arrival(g)
+        assert time.perf_counter() - start < 1.0
+        assert (cert.kind, sum(cert.flow)) == (kind, size)
+        aug = augment(g)
+        assert verify(aug.h, cert.origin, cert.dest, cert.flow).valid
+        assert check_bounds(aug, cert.flow, cert.dest).ok

@@ -16,11 +16,13 @@ from switchflow.generate import MODELS, GeneratorSpec, generate
 from switchflow import flows
 from switchflow.graphs import graph, reverse_reachable
 from switchflow.local_search import TERMINATION, solve_s_arrival
+from switchflow.reduction import augment
 from switchflow.simulate import (
     TraceStep,
     Verdict,
     _feedback_vertex,
     _multirun,
+    _stopped_run,
     decide_arrival,
     default_budget,
     format_trace,
@@ -37,6 +39,7 @@ from helpers import (
     T3,
     acceptance_instances,
     bouncer_chain,
+    chain_into_trap,
     counter_chain,
     random_graph,
     random_trap_graph,
@@ -501,3 +504,169 @@ def test_prefixes_partition_the_run(g):
             assert sum(state.profile) == t
         assert run_prefix(g, outcome.steps).vertex == g.dest
         assert run_prefix(g, outcome.steps).profile == outcome.profile
+
+
+# -- stopped runs: the one run behind run, decide, solve and complete -----
+
+
+def _augmented_boards():
+    """The augmented boards of the acceptance instances, of generated
+    graphs with n = 2..39 and of relabelled counter and trap chains."""
+    rng = random.Random(20261101)
+    sources = acceptance_instances()
+    sources += [
+        generate(GeneratorSpec(n=n, seed=seed, model=model))
+        for n in range(2, 40)
+        for seed in range(20)
+        for model in MODELS
+    ]
+    sources += [_relabelled(counter_chain, n, rng)[0] for n in range(3, 15)]
+    sources += [_relabelled(trap_chain, n, rng)[0] for n in range(4, 15)]
+    return [augment(g) for g in sources]
+
+
+def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
+    # the reset run and three runs from a random start and switch word per
+    # board, each stepped to the terminals by the visited-state oracle; the
+    # batched pass is also run on its own, from the start and from the
+    # departures of a random prefix of the run
+    import switchflow.simulate as engine
+
+    batched = []
+    multirun = engine._multirun
+    monkeypatch.setattr(
+        engine, "_multirun", lambda *a, **k: batched.append(multirun(*a, **k)) or batched[-1]
+    )
+    rng = random.Random(20261102)
+    runs = alone = 0
+    for aug in _augmented_boards():
+        h, stops = aug.h, aug.terminals
+        starts = [(h.origin, 0)] + [(rng.randrange(h.n), rng.getrandbits(h.n)) for _ in range(3)]
+        for start, switches in starts:
+            expected, trace = reference_run(h, start=start, switches=switches, targets=stops)
+            assert _stopped_run(h, start, switches, stops) == expected, (h, start, switches)
+            runs += 1
+            departed = [0] * (2 * h.n)
+            for step in trace[: rng.randrange(len(trace) + 1)]:
+                departed[2 * step.tail + step.parity] += 1
+            for kwargs in ({}, {"departed": departed}):
+                outcome = multirun(h, stops, start, switches, **kwargs)
+                assert outcome in (None, expected), (h, start, switches, kwargs)
+                alone += outcome is not None
+    assert runs > 16000 and alone >= 10000, alone
+    assert sum(outcome is not None for outcome in batched) >= 50
+
+
+def test_stopped_runs_stop_at_the_budget():
+    rng = random.Random(20261103)
+    for family, n in ((counter_chain, 9), (trap_chain, 10), (bouncer_chain, 12)):
+        h = augment(_relabelled(family, n, rng)[0]).h
+        stops = frozenset((h.dest, h.n - 1))
+        for _ in range(5):
+            start, switches = rng.randrange(h.n), rng.getrandbits(h.n)
+            end = reference_run(h, start=start, switches=switches, targets=stops)[0].steps
+            for budget in {0, 1, end // 2, end - 1, end, end + 1}:
+                expected = reference_run(
+                    h, max(budget, 0), start=start, switches=switches, targets=stops
+                )[0]
+                got = _stopped_run(h, start, switches, stops, max(budget, 0))
+                assert got == expected, (family, start, switches, budget)
+
+
+def _run_cases():
+    """Terminating and non-terminating graphs at n = 2..100: generated,
+    funnelled into random traps, trapped counters, relabelled chains and
+    chains that fall into a trap late."""
+    rng = random.Random(20261104)
+    graphs = [
+        generate(GeneratorSpec(n=n, seed=seed, model=model))
+        for n in range(2, 61)
+        for seed in range(10)
+        for model in MODELS
+    ]
+    graphs += [random_trap_graph(rng, n) for n in range(8, 101) for _ in range(5)]
+    graphs += [trapped_counter(k) for k in range(3, 15)]
+    graphs += [_relabelled(counter_chain, n, rng)[0] for n in range(3, 15)]
+    graphs += [_relabelled(trap_chain, n, rng)[0] for n in range(4, 15)]
+    graphs += [chain_into_trap(rng, counter_chain(k), t) for k in range(5, 14) for t in range(1, 7)]
+    graphs += [chain_into_trap(rng, bouncer_chain(k), t) for k in range(5, 45) for t in (1, 3, 6)]
+    return graphs
+
+
+def test_run_matches_the_reference_through_the_stop(monkeypatch):
+    # A run that outlasts the 4n phase is stopped at the destination or at
+    # the region X_d that cannot reach it; one stopped in X_d is continued
+    # from there, and its witness is that run's, shifted.  The oracle keeps
+    # every state, so runs longer than 2**16 steps are left out.
+    import switchflow.simulate as engine
+
+    stopped = []
+    long_run = engine._long_run
+    monkeypatch.setattr(engine, "_long_run", lambda g: stopped.append(long_run(g)) or stopped[-1])
+    compared = through_x_d = 0
+    for g in _run_cases():
+        if simulate(g, budget=1 << 16).verdict is Verdict.BUDGET_EXHAUSTED:
+            continue
+        expected = reference_run(g)
+        stopped.clear()
+        outcome = run(g)
+        assert (outcome, list(replay(g, outcome.steps))) == expected, g
+        compared += 1
+        (v, long), = stopped
+        if long is not None and v != g.dest:
+            assert outcome.verdict is Verdict.NON_TERMINATING
+            through_x_d += 1
+    assert compared > 1700 and through_x_d >= 100, (compared, through_x_d)
+
+
+def test_run_of_64_vertex_chains():
+    g = counter_chain(64)
+    start = time.perf_counter()
+    outcome = run(g)
+    assert time.perf_counter() - start < 1.0
+    assert (outcome.verdict, outcome.steps, outcome.final_vertex) == (
+        Verdict.TERMINATED, (1 << 64) - 2, 63,
+    )
+    assert flows.verify(g, g.origin, g.dest, outcome.profile).valid
+
+    g = trap_chain(64)
+    start = time.perf_counter()
+    outcome = run(g)
+    assert time.perf_counter() - start < 1.0
+    w = outcome.cycle_witness
+    assert outcome.verdict is Verdict.NON_TERMINATING
+    assert (w.vertex, w.switches, w.first_step, w.second_step) == (
+        62, 1 << 61, (1 << 62) - 1, (1 << 62) + 1,
+    )
+    assert outcome.steps == w.second_step and sum(outcome.profile) == outcome.steps
+
+
+def test_decide_run_and_solve_agree_beyond_30_vertices():
+    # A run whose 4n phase already ends in X_d, on a cycle of more than
+    # 10**5 states there, is still stepped to its first repeat, so run
+    # is not asked for it: about one random graph in six has no vertex
+    # that reaches the destination.
+    import switchflow.simulate as engine
+
+    rng = random.Random(20261105)
+    ran = 0
+    for i in range(200):
+        n = rng.randrange(31, 101)
+        g = (random_trap_graph if i % 2 else random_graph)(rng, n)
+        terminates = decide_arrival(g)
+        assert (solve_s_arrival(g).kind == TERMINATION) == terminates, g
+        stepped = simulate(g, budget=10**5).verdict is Verdict.BUDGET_EXHAUSTED
+        if not (stepped and engine._long_run(g)[1] is None):
+            assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
+            ran += 1
+    assert ran >= 180, ran
+
+
+def test_a_budget_keeps_the_stepped_run(monkeypatch):
+    # with a budget, run is simulate itself: no stop at X_d
+    import switchflow.simulate as engine
+
+    monkeypatch.setattr(engine, "_long_run", None)
+    g = trap_chain(12)
+    for budget in (0, 10, 1 << 10, default_budget(g.n)):
+        assert run(g, budget) == simulate(g, budget=budget) == reference_run(g, budget)[0]
