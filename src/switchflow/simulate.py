@@ -20,9 +20,10 @@ The engine computes outcomes only.  Traces and prefixes replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
 
 One stopped run, from any vertex and switch word to the first of a set
-of stops, serves :func:`run`, :func:`decide_arrival`, the local-search
-walk and flow completion.  A run from the origin that outlasts a
-``4n``-step phase is stopped where the destination falls out of reach.
+of stops, serves :func:`simulate` (and so :func:`run`),
+:func:`decide_arrival`, the local-search walk and flow completion.  A
+run that outlasts a ``4n``-step phase is stopped where its targets fall
+out of reach, and only a token left there goes on to Brent's search.
 When one vertex cuts every cycle of the non-stop vertices, the stopped
 run is computed without stepping: batched passes fire each vertex's
 whole token count at once, a bisection over the feedback vertex's
@@ -94,34 +95,36 @@ def simulate(
 ) -> RunOutcome:
     """Run the token until a target vertex, a repeated state, or the budget.
 
-    This is the engine behind a budgeted :func:`run`, the repeat of a run
-    stopped where the destination is out of reach, and the test oracles:
-    it allows an arbitrary start vertex, initial switch positions, and a
-    *set* of stopping vertices.  The graph is assumed valid.  The
-    outcome's steps are replayed by :func:`replay`.
+    The run from ``start`` (default: the origin) and the switch word
+    ``switches`` to the first of ``targets`` (default: the destination) is
+    :func:`_long_run`'s.  Only a token it leaves where the targets are out
+    of reach goes on to Brent's search, and that region is closed, so the
+    run repeats no earlier than the step the token entered it at.  The
+    graph is assumed valid.  The outcome's steps are replayed by
+    :func:`replay`.
     """
     n = g.n
-    target_set = (g.dest,) if targets is None else frozenset(targets)
-    if budget is None:
-        budget = default_budget(n)
-    first_v = g.origin if start is None else start
+    start = g.origin if start is None else start
+    targets = (g.dest,) if targets is None else frozenset(targets)
+    steps, v, profile, cycle, entry = _long_run(g, start, switches, targets, budget)
+    if entry is None:
+        verdict = Verdict.TERMINATED if v in targets else Verdict.BUDGET_EXHAUSTED
+        return RunOutcome(verdict, tuple(profile), steps, v)
+    budget = default_budget(n) if budget is None else budget
     heads = g.heads()
-    nxt = _departures(n, switches)
-    profile = [0] * (2 * n)
-    steps, v, cycle, horizon, back = _step(heads, first_v, nxt, profile, target_set, budget)
-    if v in target_set:
-        return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
+    x, p = (v, list(profile)) if entry else (start, [0] * (2 * n))  # the state at ``entry``
+    at_entry = (x, _departures(n, switches ^ _switch_word(p)), entry, p)
     if cycle is None:
-        # A repeat within the budget puts the stopped state on a cycle of at
-        # most ``budget`` steps, so it is sought by comparing the states that
-        # far on with the stopped state alone.
-        cycle = _step(heads, v, nxt[:], [0] * (2 * n), target_set, budget, "start")[2]
+        nxt, profile = _departures(n, switches ^ _switch_word(profile)), list(profile)
+        more, v, cycle = _step(heads, v, nxt, profile, (), budget - steps)
+        steps += more
+        if cycle is None:
+            # A repeat within the budget puts the stopped state on a cycle of
+            # at most ``budget - entry`` steps, so it is sought by comparing
+            # the states that far on with the stopped state alone.
+            cycle = _step(heads, v, nxt, [0] * (2 * n), (), budget - entry, "start")[2]
     if cycle is not None:
-        # ``back`` was the anchor through step ``horizon``: had it lain on
-        # the cycle, it would have matched by then if the cycle fits
-        if back is None or back[2] + cycle > horizon:
-            back = (first_v, _departures(n, switches), 0, [0] * (2 * n))
-        mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, back, cycle)
+        mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, at_entry, cycle)
         if mu + cycle <= budget:
             sw_mu = sum(1 << u for u, s in enumerate(nxt_mu) if s & 1)  # the switch word
             witness = CycleWitness(v_mu, sw_mu, mu, mu + cycle)
@@ -142,38 +145,28 @@ def _step(
     targets: Container[int],
     budget: int,
     detect_cycles: str | None = "brent",
-) -> tuple[int, int, int | None, int, tuple | None]:
+) -> tuple[int, int, int | None]:
     """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
     counting departures into ``profile``, until a target, the first
-    match, or the budget.
-
-    Returns the steps taken, the vertex reached, the cycle length (None
-    unless a match stopped the run, which never happens at a target), and
-    for locating the first repeat: the step ``horizon`` through which the
-    anchor ``back = (vertex, nxt, step, profile)`` was compared, or None
-    when no anchor kept a profile.
+    match, or the budget.  Returns the steps taken, the vertex reached
+    and the cycle length (None unless a match stopped the run, which
+    never happens at a target).
 
     Brent's cycle detection: each state is compared with the anchor, the
     state at the last power-of-two step from step 2 on (a step flips a
     switch, so no state recurs a step later), by table only where the
     vertices agree.  A state before the cycle never recurs, so the first
-    match gives the cycle length exactly.  From step 2n on, each anchor
-    also keeps a copy of the profile (``anchor``, and ``back`` for the one
-    before), from which the first repeat is sought instead of from the
-    start; below 2n steps the copies would cost more than stepping again.
-    ``detect_cycles="start"`` compares each state with the start state
-    alone, so a match is the start's return; None skips the checks, for a
-    run known to end."""
-    two_n = len(profile)
+    match gives the cycle length exactly.  ``detect_cycles="start"``
+    compares each state with the start state alone, so a match is the
+    start's return; None skips the checks, for a run known to end."""
     steps = 0
     anchor_v, anchor_nxt, anchor_step = -1, None, 0
     if detect_cycles == "start":
         anchor_v, anchor_nxt = v, nxt[:]
     checks, brent = detect_cycles is not None, detect_cycles == "brent"  # bools test fastest
-    back = anchor = None
     while v not in targets:
         if steps >= budget:
-            return steps, v, None, steps, anchor
+            return steps, v, None
         s = nxt[v]
         profile[s] += 1
         nxt[v] = s ^ 1
@@ -181,12 +174,10 @@ def _step(
         steps += 1
         if checks:
             if v == anchor_v and nxt == anchor_nxt:
-                return steps, v, steps - anchor_step, anchor_step, back
+                return steps, v, steps - anchor_step
             if not steps & (steps - 1) and steps > 1 and brent:
                 anchor_v, anchor_nxt, anchor_step = v, nxt[:], steps
-                if steps >= two_n:
-                    back, anchor = anchor, (v, anchor_nxt, steps, profile[:])
-    return steps, v, None, steps, back
+    return steps, v, None
 
 
 def _first_repeat(
@@ -216,24 +207,8 @@ def _first_repeat(
 def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
     """Simulate the run from the graph's origin to its destination.  The
     default budget ``2n * 2**n`` exceeds the ``n * 2**n`` states, so
-    without a budget the verdict is always decisive.
-
-    Without a budget, a long run is :func:`_long_run`'s stopped run.  A
-    token it leaves at step ``T`` where the destination is out of reach
-    stays there, on switches untouched until ``T``: the run repeats first
-    where the run from that state does, ``T`` steps on."""
-    g = require_valid(g)
-    stopped = None if budget is not None else _long_run(g)[1]
-    if stopped is None:
-        return simulate(g, budget=budget)
-    x, t, p = stopped.final_vertex, stopped.steps, stopped.profile
-    if x == g.dest:
-        return stopped
-    rest = simulate(g, start=x, switches=_switch_word(p), targets=())
-    w = rest.cycle_witness
-    w = w._replace(first_step=t + w.first_step, second_step=t + w.second_step)
-    profile = tuple(a + b for a, b in zip(p, rest.profile))
-    return RunOutcome(rest.verdict, profile, t + rest.steps, rest.final_vertex, w)
+    without a budget the verdict is always decisive."""
+    return simulate(require_valid(g), budget=budget)
 
 
 def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
@@ -264,28 +239,45 @@ def _switch_word(counts: Sequence[int]) -> int:
 def decide_arrival(g: SwitchGraph) -> bool:
     """True iff the run from origin reaches the destination."""
     g = require_valid(g)
-    return _long_run(g)[0] == g.dest
+    return _long_run(g, g.origin, 0, (g.dest,))[1] == g.dest
 
 
-def _long_run(g: SwitchGraph) -> tuple[int, RunOutcome | None]:
-    """Where the run from the origin stops, and the stopped run, or None
-    when a ``4n``-step phase with Brent's checks settles it.  A run kept
-    to the vertices that can reach the destination arrives (Dohrau et
-    al.), so it is stopped at the destination or where it falls out of reach."""
-    n, dest = g.n, g.dest
-    heads, nxt, profile = g.heads(), list(range(0, 2 * n, 2)), [0] * (2 * n)
-    steps, v, cycle, _, _ = _step(heads, g.origin, nxt, profile, (dest,), 4 * n)
-    if v == dest or cycle is not None:
-        return v, None
-    stops = set(range(n)) - reverse_reachable(g, dest) | {dest}
-    if v in stops:
-        return v, None
+def _long_run(
+    g: SwitchGraph, start: int, switches: int, targets: Container[int], budget: int | None = None
+) -> tuple[int, int, Sequence[int], int | None, int | None]:
+    """The run from ``start`` and the switch word ``switches`` to the
+    first of ``targets``, or its first ``budget`` steps (default ``2n *
+    2**n``), stopped also in the closed region ``X`` of the vertices that
+    reach no target.  A ``4n``-step phase with Brent's checks ends short
+    runs; the rest of the run is :func:`_stopped_run`'s, since a run kept
+    to the vertices that reach a target arrives (Dohrau et al.), so no
+    state outside ``X`` repeats.
+
+    Returns the steps, vertex and profile where the run stopped, the
+    cycle length the phase found or None, and a step at or before the
+    first repeat from which it is sought: the step the stopped run
+    entered ``X`` at, 0 when the phase ended in ``X`` or on a cycle, and
+    None when the run cannot repeat (at a target, or at a budget stop
+    of the stopped run, which lies outside ``X``)."""
+    n = g.n
+    heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
+    phase = 4 * n if budget is None else min(4 * n, budget)
+    steps, v, cycle = _step(heads, start, nxt, profile, targets, phase)
+    if v in targets or cycle is not None:
+        return steps, v, profile, cycle, None if cycle is None else 0
+    x = set(range(n))
+    ends = x.intersection(targets)  # a target out of range stops nothing
+    for t in ends:
+        x -= reverse_reachable(g, t)
+    if v in x:
+        return steps, v, profile, None, 0
     # that region is closed, so the phase is the stopped run's first steps
-    stopped = _stopped_run(g, g.origin, 0, stops, prefix=(steps, v, nxt, profile))
-    v = stopped.final_vertex
-    if v not in stops:
+    stops = x | ends
+    stopped = _stopped_run(g, start, switches, stops, budget, prefix=(steps, v, nxt, profile))
+    steps, v = stopped.steps, stopped.final_vertex
+    if v not in stops and budget is None:
         raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
-    return v, stopped
+    return steps, v, stopped.profile, None, steps if v in x else None
 
 
 def _stopped_run(

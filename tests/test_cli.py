@@ -161,9 +161,12 @@ def test_solve_certifies_a_64_vertex_counter_for_verify_flow(capsys, tmp_path):
 def test_simulate_answers_a_64_vertex_counter(capsys, tmp_path):
     path = tmp_path / "counter64.json"
     path.write_text(serialize(counter_chain(64)))
-    code, out, _ = run_cli(capsys, "simulate", "--input", str(path))
-    doc = json.loads(out)
-    assert (code, doc["verdict"], doc["steps"]) == (0, "terminated", (1 << 64) - 2)
+    for budget in ((), ("--budget", "18446744073709551616")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "simulate", "--input", str(path), *budget)
+        assert time.perf_counter() - start < 1.0
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["steps"]) == (0, "terminated", (1 << 64) - 2)
 
 
 def test_decide_json_verdict(capsys, t3_file):

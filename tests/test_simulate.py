@@ -40,6 +40,7 @@ from helpers import (
     acceptance_instances,
     bouncer_chain,
     chain_into_trap,
+    closure_reachable,
     counter_chain,
     random_graph,
     random_trap_graph,
@@ -204,9 +205,16 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
     # the state the budget stopped at.
     import switchflow.simulate as engine
 
-    stepped = []
+    returned = []
     step = engine._step
-    monkeypatch.setattr(engine, "_step", lambda *args: stepped.append(step(*args)) or stepped[-1])
+
+    def spy(*args):
+        out = step(*args)
+        if args[6:] == ("start",) and out[2] is not None:  # a budget stop recurred
+            returned.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "_step", spy)
     continued_to_a_cycle = 0
     rng = random.Random(20261019)
     witnesses = []
@@ -225,10 +233,9 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
             end = full.steps
             budgets |= {end - 1, end, end + 1, rng.randrange(end, 3 * end + 1)}
         for budget in budgets:
-            stepped.clear()
+            returned.clear()
             outcome = simulate(g, budget=budget, **kwargs)
-            # a second _step is the run continued from a budget stop
-            continued_to_a_cycle += len(stepped) == 2 and stepped[1][2] is not None
+            continued_to_a_cycle += bool(returned)
             start, switches = kwargs["start"], kwargs["switches"]
             trace = list(replay(g, outcome.steps, start=start, switches=switches))
             assert (outcome, trace) == reference_run(g, budget, **kwargs), (g, kwargs, budget)
@@ -239,35 +246,47 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
 def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
     # A run the budget stops repeats within the budget only if the stopped
     # state recurs within it, so the run steps on at most ``budget`` states
-    # before the first repeat is sought.  The trapped counter's cycle has
+    # before the first repeat is sought, and none when the stop lies
+    # outside X_d, where no state repeats.  The trapped counter's cycle has
     # 2**41 - 2 states, so no repeat is sought there.
     import switchflow.simulate as engine
 
     calls = []
     step, first_repeat = engine._step, engine._first_repeat
-    monkeypatch.setattr(engine, "_step", lambda *args: calls.append(step(*args)) or calls[-1])
+    monkeypatch.setattr(
+        engine, "_step", lambda *args: calls.append((args[6:], step(*args))) or calls[-1][1]
+    )
     monkeypatch.setattr(
         engine, "_first_repeat", lambda *args: calls.append("repeat") or first_repeat(*args)
     )
     rng = random.Random(20261018)
     cases = [(trapped_counter(40), budget) for budget in (1, 1000, 10**4)]
+    # trap_chain(12) enters its trap at step 1023 and first repeats at 1025
+    cases += [(trap_chain(12), budget) for budget in (0, 10, 1000, 1 << 10, default_budget(12))]
     for _ in range(100):
         g = random_trap_graph(rng, rng.randrange(31, 101))
         end = reference_run(g, 4000)[0].steps
         cases += [(g, budget) for budget in (end - 1, end, end + 1, 2 * end)]
-    stopped = continued_to_a_cycle = 0
+    stopped = outside = continued_to_a_cycle = 0
     for g, budget in cases:
         calls.clear()
         outcome = run(g, budget)
         assert outcome == reference_run(g, budget)[0], (g, budget)
-        if calls[0][2] is not None or outcome.verdict is Verdict.TERMINATED:
+        matched = any(c != "repeat" and c[0] != ("start",) and c[1][2] is not None for c in calls)
+        if matched or outcome.verdict is Verdict.TERMINATED:
             continue  # Brent's anchors matched, or the run ended, within the budget
         stopped += 1
-        assert calls[0][0] == budget
-        assert calls[1][0] <= budget, (g, budget)
-        assert calls[2:] == (["repeat"] if calls[1][2] is not None else []), (g, budget)
-        continued_to_a_cycle += calls[1][2] is not None
+        returns = [c[1] for c in calls if c != "repeat" and c[0] == ("start",)]
+        if run_prefix(g, budget).vertex in reverse_reachable(g, g.dest):
+            assert returns == [] and "repeat" not in calls, (g, budget)
+            outside += 1
+            continue
+        (steps, _, cycle), = returns
+        assert steps <= budget, (g, budget)
+        assert calls[-1] == "repeat" if cycle is not None else "repeat" not in calls, (g, budget)
+        continued_to_a_cycle += cycle is not None
     assert stopped >= 200 and continued_to_a_cycle >= 100, (stopped, continued_to_a_cycle)
+    assert outside >= 10, outside
 
 
 def _relabelled(family, n, rng):
@@ -421,8 +440,8 @@ def test_decision_of_64_vertex_chains():
 
 
 def test_run_matches_the_reference_on_trap_chains():
-    # the first repeat lies far beyond the anchor before the one that
-    # matched, so it is sought from that anchor's copy of the profile
+    # the run enters the self-looped trap at step 2**(n - 2) - 1, past the
+    # 4n phase from n = 8 on, and its first repeat is sought from there
     for n in range(4, 15):
         g = trap_chain(n)
         end = (1 << (n - 2)) + 1
@@ -595,14 +614,16 @@ def _run_cases():
 
 def test_run_matches_the_reference_through_the_stop(monkeypatch):
     # A run that outlasts the 4n phase is stopped at the destination or at
-    # the region X_d that cannot reach it; one stopped in X_d is continued
-    # from there, and its witness is that run's, shifted.  The oracle keeps
-    # every state, so runs longer than 2**16 steps are left out.
+    # the region X_d that cannot reach it; one stopped in X_d goes on to
+    # Brent's search, and its first repeat is sought from the stop.  The
+    # oracle keeps every state, so runs longer than 2**16 steps are left out.
     import switchflow.simulate as engine
 
     stopped = []
     long_run = engine._long_run
-    monkeypatch.setattr(engine, "_long_run", lambda g: stopped.append(long_run(g)) or stopped[-1])
+    monkeypatch.setattr(
+        engine, "_long_run", lambda *args: stopped.append(long_run(*args)) or stopped[-1]
+    )
     compared = through_x_d = 0
     for g in _run_cases():
         if simulate(g, budget=1 << 16).verdict is Verdict.BUDGET_EXHAUSTED:
@@ -612,8 +633,8 @@ def test_run_matches_the_reference_through_the_stop(monkeypatch):
         outcome = run(g)
         assert (outcome, list(replay(g, outcome.steps))) == expected, g
         compared += 1
-        (v, long), = stopped
-        if long is not None and v != g.dest:
+        (_, _, _, _, entry), = stopped
+        if entry:  # the step at which the stopped run entered X_d
             assert outcome.verdict is Verdict.NON_TERMINATING
             through_x_d += 1
     assert compared > 1700 and through_x_d >= 100, (compared, through_x_d)
@@ -641,6 +662,79 @@ def test_run_of_64_vertex_chains():
     assert outcome.steps == w.second_step and sum(outcome.profile) == outcome.steps
 
 
+def test_budgeted_runs_of_64_vertex_chains():
+    # trap_chain(64) enters its self-looped trap 62 at step 2**62 - 1 and
+    # first repeats two steps on; counter_chain(64) arrives at step
+    # 2**64 - 2.  Each budget here lies at or beyond the step the run
+    # enters X_d or arrives, so no budget stop needs the states before it.
+    def counter(k):  # each slot of the counter's vertex v fires 2**(k - 1 - v) times
+        return tuple(1 << (k - 1 - v) for v in range(k) for _ in (0, 1))
+
+    t = 1 << 62
+    cases = [(trap_chain(64), t, (
+        Verdict.BUDGET_EXHAUSTED, counter(61) + (1, 0, 1, 0, 0, 0), t, 62, None,
+    ))]
+    repeated = (
+        Verdict.NON_TERMINATING, counter(61) + (1, 0, 1, 1, 0, 0), t + 1, 62,
+        (62, 1 << 61, t - 1, t + 1),
+    )
+    cases += [(trap_chain(64), budget, repeated) for budget in (t + 1, 1 << 63, 1 << 64)]
+    arrived = (Verdict.TERMINATED, counter(63) + (0, 0), (1 << 64) - 2, 63, None)
+    cases += [(counter_chain(64), b, arrived) for b in ((1 << 64) - 2, (1 << 64) - 1, 1 << 64)]
+    for g, budget, expected in cases:
+        for call in (lambda: run(g, budget), lambda: simulate(g, budget=budget)):
+            start = time.perf_counter()
+            outcome = call()
+            assert time.perf_counter() - start < 1.0, (g.n, budget)
+            assert outcome == expected, (g, budget)
+
+
+def test_simulate_matches_the_reference_around_the_stop():
+    # Runs from the origin and from random states of chains that fall into
+    # a closed region late, to sets of zero to three targets.  Targets
+    # include the vertex ``n`` appended to each board, which no other
+    # vertex reaches, and the out-of-range ``n + 1``, which stops nothing.
+    # Budgets sit one step around the step T at which the run enters the
+    # region X that reaches no target, and at the first repeat's two steps.
+    rng = random.Random(20261106)
+    boards = [chain_into_trap(rng, counter_chain(k), t) for k in range(5, 13) for t in range(1, 7)]
+    boards += [chain_into_trap(rng, bouncer_chain(k), t) for k in range(5, 25, 3) for t in (1, 4)]
+    boards += [_relabelled(trap_chain, n, rng)[0] for n in range(4, 15) for _ in range(2)]
+    compared = around_t = late = 0
+    for g in boards:
+        n = g.n
+        g = graph(n + 1, g.even + (g.origin,), g.odd + (g.dest,), g.origin, g.dest)
+        for i in range(12):
+            start, switches = (g.origin, 0) if i == 0 else (rng.randrange(n), rng.getrandbits(n))
+            if i % 4 == 2:  # a counter part way up, at the origin
+                start = g.origin
+            targets = set(rng.sample(range(n), rng.randrange(4)))
+            if i % 2 == 0:  # so that X is the closed region
+                targets = {g.dest}
+            if i % 3 == 1:
+                targets = set(list(targets)[:2]) | {n}
+            elif i % 3 == 2:
+                targets = set(list(targets)[:2]) | {n + 1}
+            kwargs = dict(start=start, switches=switches, targets=targets)
+            full, trace = reference_run(g, **kwargs)
+            reach = set().union(*(closure_reachable(g, t) for t in targets if t <= n))
+            vertices = [start] + [step.head for step in trace]
+            budgets = {None}
+            entered = next((t for t, v in enumerate(vertices) if v not in reach), None)
+            if entered is not None:
+                budgets |= {entered - 1, entered, entered + 1}
+                around_t += 1
+                late += entered > 4 * g.n  # entered in the stopped run, after the 4n phase
+            if full.cycle_witness is not None:
+                budgets |= {full.steps - 1, full.steps}
+            for budget in budgets - {-1}:
+                outcome = simulate(g, budget=budget, **kwargs)
+                got = (outcome, list(replay(g, outcome.steps, start=start, switches=switches)))
+                assert got == reference_run(g, budget, **kwargs), (g, kwargs, budget)
+                compared += 1
+    assert compared >= 3000 and around_t >= 500 and late >= 100, (compared, around_t, late)
+
+
 def test_decide_run_and_solve_agree_beyond_30_vertices():
     # A run whose 4n phase already ends in X_d, on a cycle of more than
     # 10**5 states there, is still stepped to its first repeat, so run
@@ -656,17 +750,9 @@ def test_decide_run_and_solve_agree_beyond_30_vertices():
         terminates = decide_arrival(g)
         assert (solve_s_arrival(g).kind == TERMINATION) == terminates, g
         stepped = simulate(g, budget=10**5).verdict is Verdict.BUDGET_EXHAUSTED
-        if not (stepped and engine._long_run(g)[1] is None):
+        _, _, _, cycle, entry = engine._long_run(g, g.origin, 0, (g.dest,))
+        if not (stepped and cycle is None and entry == 0):  # the phase ended in X_d
             assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
             ran += 1
     assert ran >= 180, ran
 
-
-def test_a_budget_keeps_the_stepped_run(monkeypatch):
-    # with a budget, run is simulate itself: no stop at X_d
-    import switchflow.simulate as engine
-
-    monkeypatch.setattr(engine, "_long_run", None)
-    g = trap_chain(12)
-    for budget in (0, 10, 1 << 10, default_budget(g.n)):
-        assert run(g, budget) == simulate(g, budget=budget) == reference_run(g, budget)[0]
