@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .graphs import (
     SolverError,
     SwitchGraph,
+    _array,
     _document,
     _dumps,
-    _int_array,
     _int_field,
     distances_to,
 )
@@ -262,7 +262,7 @@ def check_bounds(
 def parse_flow(text: str) -> tuple[int, int, tuple[int, ...]]:
     """Parse the flow JSON document ``{"origin", "dest", "counts"}``."""
     doc = _document(text, ("origin", "dest", "counts"))
-    return _int_field(doc, "origin"), _int_field(doc, "dest"), _int_array(doc, "counts")
+    return _int_field(doc, "origin"), _int_field(doc, "dest"), _array(doc, "counts")
 
 
 def serialize_flow(origin: int, dest: int, counts: Sequence[int]) -> str:

@@ -106,11 +106,10 @@ class _Valid(SwitchGraph):
     def __reduce_ex__(self, protocol):
         return SwitchGraph._make(self).__reduce_ex__(protocol)
 
-    def _replace(self, **changes) -> SwitchGraph:
-        # a new route can make origin == dest, so the result is unchecked
-        return SwitchGraph._make(self)._replace(**changes)
-
-    __replace__ = _replace  # ``copy.replace``, from Python 3.13
+    # Every replace path (``copy.replace`` too) builds through ``_make``,
+    # and a new route can make origin == dest: the result is unchecked.
+    _make = SwitchGraph._make
+    __replace__ = SwitchGraph._replace
 
 
 def graph(n: int, even, odd, origin: int, dest: int, labels=None) -> SwitchGraph:
@@ -164,7 +163,7 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
     violations = validate(g)
     if violations:
         raise ValueError("invalid switch graph: " + "; ".join(violations))
-    return _Valid._make(g)
+    return _Valid(*g)
 
 
 def distances_to(g: SwitchGraph, target: int) -> list[int | None]:
@@ -207,18 +206,17 @@ def _int_field(doc: dict, key: str) -> int:
     return value
 
 
-def _int_array(doc: dict, key: str, n: int | None = None) -> tuple[int, ...]:
-    """The integer array at ``key``, of exactly ``n`` entries when ``n`` is given."""
+def _array(doc: dict, key: str, n: int | None = None, entry: type = int) -> tuple:
+    """The array of ``entry`` values (``int`` or ``str``; a boolean is no
+    ``int`` here) at ``key``, of exactly ``n`` entries when ``n`` is given."""
     value = doc[key]
     _expect(isinstance(value, list), f"$.{key}", f"expected array, found {value!r}")
     if n is not None:
         _expect(len(value) == n, f"$.{key}", f"expected {n} entries, found {len(value)}")
     for i, item in enumerate(value):
-        _expect(
-            isinstance(item, int) and not isinstance(item, bool),
-            f"$.{key}[{i}]",
-            f"expected integer, found {item!r}",
-        )
+        if type(item) is not entry:
+            name = "string" if entry is str else "integer"
+            raise GraphFormatError(f"$.{key}[{i}]: expected {name}, found {item!r}")
     return tuple(value)
 
 
@@ -236,6 +234,8 @@ def _document(text: str, required: tuple[str, ...], optional: tuple[str, ...] = 
         doc = json.loads(text, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise GraphFormatError("$: nested too deeply") from None
     _expect(isinstance(doc, dict), "$", f"expected object, found {type(doc).__name__}")
     if len(doc) < len(pairs):
         seen: set[str] = set()
@@ -262,22 +262,13 @@ def parse(text: str) -> SwitchGraph:
     doc = _document(text, _REQUIRED_KEYS, ("labels",))
     n = _int_field(doc, "n")
     _expect(n >= 1, "$.n", f"vertex count must be positive, found {n}")
-    labels = None
-    if "labels" in doc:
-        raw = doc["labels"]
-        _expect(isinstance(raw, list), "$.labels", f"expected array, found {raw!r}")
-        _expect(len(raw) == n, "$.labels", f"expected {n} entries, found {len(raw)}")
-        for i, item in enumerate(raw):
-            _expect(isinstance(item, str), f"$.labels[{i}]", f"expected string, found {item!r}")
-        labels = tuple(raw)
-
     g = _Valid(
         n=n,
-        even=_int_array(doc, "even", n),
-        odd=_int_array(doc, "odd", n),
+        labels=_array(doc, "labels", n, str) if "labels" in doc else None,  # reported first
+        even=_array(doc, "even", n),
+        odd=_array(doc, "odd", n),
         origin=_int_field(doc, "origin"),
         dest=_int_field(doc, "dest"),
-        labels=labels,
     )
     violations = validate(g)
     if violations:

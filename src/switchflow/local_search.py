@@ -114,12 +114,12 @@ class LocalOptInstance:
             and all(0 <= e <= self.max_entry for e in flow)
         )
 
-    def _flow_valid(self, state: SearchState) -> bool:
+    def _valid(self, state: SearchState) -> bool:
         v, flow = state
-        return _flows.verify(self.h, self._o_bar, v, flow).valid
+        return self._in_domain(state) and _flows.verify(self.h, self._o_bar, v, flow).valid
 
     def neighbor(self, state: SearchState) -> SearchState:
-        if not self._in_domain(state) or not self._flow_valid(state):
+        if not self._valid(state):
             return self.reset
         v, flow = state
         if v in self._terminals:
@@ -130,7 +130,7 @@ class LocalOptInstance:
         return SearchState((self.h.odd if i else self.h.even)[v], tuple(flow))
 
     def potential(self, state: SearchState) -> int:
-        if not self._in_domain(state) or not self._flow_valid(state):
+        if not self._valid(state):
             return -1
         return sum(state.flow)
 

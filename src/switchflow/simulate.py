@@ -16,19 +16,20 @@ destination is reached or some state repeats.  Repeats are found by
 Brent's cycle detection, which keeps one earlier state instead of every
 visited one, so runs need O(n) memory at any ``n``.
 
-The engine computes outcomes only.  Traces and prefixes replay the run
+The engine computes outcomes only.  Traces replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
 
 One stopped run, from any vertex and switch word to the first of a set
 of stops, serves :func:`simulate` (and so :func:`run`),
-:func:`decide_arrival`, the local-search walk and flow completion.  A
-run that outlasts a ``4n``-step phase is stopped where its targets fall
-out of reach, and only a token left there goes on to Brent's search.
-When one vertex cuts every cycle of the non-stop vertices, the stopped
-run is computed without stepping: batched passes fire each vertex's
-whole token count at once, a bisection over the feedback vertex's
-departure count finds the run profile, and ``flows.verify`` checks it
-before it is trusted.  Other stopped runs are stepped.
+:func:`decide_arrival`, :func:`run_prefix` (with a budget of ``t``
+steps), the local-search walk and flow completion.  A run that outlasts
+a ``4n``-step phase is stopped where its targets fall out of reach, and
+only a token left there goes on to Brent's search.  When one vertex
+cuts every cycle of the non-stop vertices, the stopped run is computed
+without stepping: batched passes fire each vertex's whole token count
+at once, a bisection over the feedback vertex's departure count finds
+the run profile, and ``flows.verify`` checks it before it is trusted.
+Other stopped runs are stepped.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -100,11 +101,10 @@ def simulate(
     :func:`_long_run`'s.  Only a token it leaves where the targets are out
     of reach goes on to Brent's search, and that region is closed, so the
     run repeats no earlier than the step the token entered it at.  The
-    graph is assumed valid.  The outcome's steps are replayed by
-    :func:`replay`.
+    outcome's steps are replayed by :func:`replay`.
     """
-    n = g.n
-    start = g.origin if start is None else start
+    g = require_valid(g)
+    n, start = g.n, _start(g, start)
     targets = (g.dest,) if targets is None else frozenset(targets)
     steps, v, profile, cycle, entry = _long_run(g, start, switches, targets, budget)
     if entry is None:
@@ -130,6 +130,14 @@ def simulate(
             witness = CycleWitness(v_mu, sw_mu, mu, mu + cycle)
             return RunOutcome(Verdict.NON_TERMINATING, profile_mu, mu + cycle, v_mu, witness)
     return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(profile), steps, v)
+
+
+def _start(g: SwitchGraph, start: int | None) -> int:
+    """``start``, or the origin when it is None, checked to be a vertex."""
+    start = g.origin if start is None else start
+    if not 0 <= start < g.n:
+        raise ValueError(f"start out of range ({start} not in 0..{g.n - 1})")
+    return start
 
 
 def _departures(n: int, sw: int) -> list[int]:
@@ -208,27 +216,24 @@ def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
     """Simulate the run from the graph's origin to its destination.  The
     default budget ``2n * 2**n`` exceeds the ``n * 2**n`` states, so
     without a budget the verdict is always decisive."""
-    return simulate(require_valid(g), budget=budget)
+    return simulate(g, budget=budget)
 
 
 def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
-    """Replay the run from the start and stop after exactly ``t`` steps.
+    """The state after exactly ``t`` steps: the stopped run with budget ``t``.
 
     Raises ValueError("prefix beyond termination ...") if the run
     reaches the destination in fewer than ``t`` steps.
     """
-    require_valid(g)
+    g = require_valid(g)
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
-    v, p = g.origin, [0] * (2 * g.n)
-    for step in replay(g, t):
-        if step.tail == g.dest:
-            raise ValueError(
-                f"prefix beyond termination: run ended after {step.step} steps, {t} requested"
-            )
-        p[2 * step.tail + step.parity] += 1
-        v = step.head
-    return PrefixState(v, tuple(p), _switch_word(p))
+    outcome = _stopped_run(g, g.origin, 0, (g.dest,), t)
+    if outcome.steps < t:
+        raise ValueError(
+            f"prefix beyond termination: run ended after {outcome.steps} steps, {t} requested"
+        )
+    return PrefixState(outcome.final_vertex, outcome.profile, _switch_word(outcome.profile))
 
 
 def _switch_word(counts: Sequence[int]) -> int:
@@ -299,7 +304,7 @@ def _stopped_run(
     else:
         steps, v, nxt, profile = prefix
     if v not in stops and steps < budget:
-        batched = _multirun(g, stops, start, switches, departed=profile)
+        batched = _multirun(g, stops, start, switches, profile)
         if batched is not None and batched.steps <= budget:
             return batched
         more, v = _step(heads, v, nxt, profile, stops, budget - steps, None)[:2]
@@ -309,14 +314,13 @@ def _stopped_run(
 
 
 def _multirun(
-    g: SwitchGraph, stops: Container[int], start: int | None = None, switches: int = 0,
-    *, departed: list[int] | None = None,
+    g: SwitchGraph, stops: Container[int], start: int, switches: int, departed: Sequence[int]
 ) -> RunOutcome | None:
-    """The run from ``start`` (default: the origin) and the switch word
-    ``switches`` to the first of ``stops``, in batched passes, or None
-    when no vertex ``s`` leaves the other non-stop vertices acyclic or
-    some vertex reaches no stop.  ``departed``, the slot counts of a
-    prefix of the run, picks ``s`` first and bounds its departures.
+    """The run from ``start`` and the switch word ``switches`` to the
+    first of ``stops``, in batched passes, or None when no vertex ``s``
+    leaves the other non-stop vertices acyclic or some vertex reaches no
+    stop.  ``departed``, the slot counts of a prefix of the run (all zero
+    for the empty one), picks ``s`` first and bounds its departures.
 
     A pass fires ``s`` ``w`` times, then each other non-stop vertex once
     in topological order: ``k`` tokens send ``ceil(k/2)`` through the slot
@@ -330,13 +334,12 @@ def _multirun(
 
     n = g.n
     # the most departed vertex of a prefix is the likeliest to cut every cycle
-    guess = None if departed is None else departed.index(max(departed)) >> 1
+    guess = departed.index(max(departed)) >> 1
     found = _feedback_vertex(g, set(range(n)).difference(stops), guess)
     if found is None:
         return None
     s, order = found
     order.insert(0, s)
-    start = g.origin if start is None else start
     heads, nxt = g.heads(), _departures(n, switches)
     passes = [(v, heads[nxt[v]], heads[nxt[v] ^ 1]) for v in order]
 
@@ -353,7 +356,7 @@ def _multirun(
     def absorbed(w: int) -> int:  # the tokens fired less those back at s
         return w + (start != s) - (fire(w)[s] - w)
 
-    lo = -1 if departed is None else departed[2 * s] + departed[2 * s + 1] - 1
+    lo = departed[2 * s] + departed[2 * s + 1] - 1
     hi = lo + 1
     a = absorbed(hi)
     while not a:
@@ -456,8 +459,8 @@ def replay(
     """The first ``steps`` steps of the run from ``start`` (default: the
     origin) and the switch word ``switches``, lazily, ignoring targets:
     the trace of an outcome is the replay of its ``steps``."""
-    heads, nxt = g.heads(), _departures(g.n, switches)
-    v = g.origin if start is None else start
+    g = require_valid(g)
+    v, heads, nxt = _start(g, start), g.heads(), _departures(g.n, switches)
     for step in range(steps):
         s = nxt[v]
         nxt[v] = s ^ 1

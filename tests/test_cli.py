@@ -455,6 +455,16 @@ def test_duplicate_field_is_a_content_error(capsys, t1_file, tmp_path):
     assert "$.dest: duplicate field" in err
 
 
+def test_deeply_nested_documents_are_content_errors(capsys, t1_file, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    for argv in (
+        ("decide", "--input", str(deep)),
+        ("verify-flow", "--input", t1_file, "--flow", str(deep)),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", "error: $: nested too deeply\n"), argv
+
+
 def test_stdin_is_the_default_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(T1_TEXT))
     code, out, _ = run_cli(capsys, "decide")

@@ -336,6 +336,12 @@ def test_parse_flow_rejects_duplicate_fields():
         parse_flow('{"origin":0,"dest":1,"counts":[{"a":1,"a":2}]}')
 
 
+def test_parse_flow_rejects_deeply_nested_documents():
+    text = '{"origin":0,"dest":1,"counts":' + "[" * 200000 + "]" * 200000 + "}"
+    with pytest.raises(GraphFormatError, match=r"^\$: nested too deeply$"):
+        parse_flow(text)
+
+
 def test_parse_flow_rejects_malformed_documents():
     with pytest.raises(ValueError, match="line 1 column"):
         parse_flow("{nope")

@@ -156,6 +156,7 @@ def test_checked_graphs_behave_as_plain_graphs():
 def test_a_new_route_on_a_checked_graph_is_checked_again():
     checked = parse(serialize(T3))
     moves = (checked.with_route(dest=0), checked._replace(dest=0), checked.__replace__(dest=0))
+    moves += (SwitchGraph._replace(checked, dest=0),)  # what ``copy.replace`` calls from 3.13
     for moved in moves:
         assert type(moved) is SwitchGraph
         with pytest.raises(ValueError, match=r"^invalid switch graph: origin equals dest$"):
@@ -298,6 +299,29 @@ def test_parse_rejects_invalid_graphs_with_position():
 def test_parse_rejects_bad_labels():
     with pytest.raises(GraphFormatError, match=r"\$\.labels\[0\]: expected string"):
         parse('{"n":2,"origin":0,"dest":1,"even":[1,1],"odd":[1,1],"labels":[1,2]}')
+
+
+def test_parse_reports_bad_labels_exactly():
+    head = '{"n":2,"origin":0,"dest":1,"even":[1,1],"odd":[1,1],"labels":'
+    for labels, message in (
+        ('"ab"', "$.labels: expected array, found 'ab'"),
+        ("{}", "$.labels: expected array, found {}"),
+        ('["a"]', "$.labels: expected 2 entries, found 1"),
+        ('["a","b","c"]', "$.labels: expected 2 entries, found 3"),
+        ('["a",2]', "$.labels[1]: expected string, found 2"),
+        ('[null,"b"]', "$.labels[0]: expected string, found None"),
+        ('["a",true]', "$.labels[1]: expected string, found True"),
+    ):
+        with pytest.raises(GraphFormatError) as caught:
+            parse(head + labels + "}")
+        assert str(caught.value) == message, labels
+
+
+def test_parse_rejects_deeply_nested_documents():
+    # the decoder recurses per level: too deep a document is a format error
+    for text in ("[" * 200000 + "]" * 200000, '{"n":' * 5000 + "1" + "}" * 5000):
+        with pytest.raises(GraphFormatError, match=r"^\$: nested too deeply$"):
+            parse(text)
 
 
 def test_dot_export_has_one_line_per_slot():

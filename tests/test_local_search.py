@@ -448,7 +448,7 @@ def test_a_walk_stops_at_the_cap_on_a_cycle_without_terminals():
     h = SwitchGraph(n=6, even=(0, 2, 3, 1, 1, 5), odd=(0, 3, 1, 1, 1, 5), origin=4, dest=0)
     aug = AugmentedInstance(h=h, o_bar=4, d_bar=5, x_d=frozenset(), source_dest=0)
     inst = LocalOptInstance(aug)
-    assert _multirun(h, inst.aug.terminals) is None
+    assert _multirun(h, inst.aug.terminals, h.origin, 0, [0] * (2 * h.n)) is None
     solution, steps = _assert_walks_agree(inst, None)
     assert (solution.vertex, steps, max(solution.flow)) == (1, 289, inst.max_entry)
 

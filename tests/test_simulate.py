@@ -95,6 +95,22 @@ def test_run_rejects_invalid_graphs():
         run(graph(2, [1, 1], [1, 1], 0, 0))
 
 
+def test_simulate_and_replay_check_their_input():
+    invalid = graph(2, [1, 1], [1, 1], 0, 0)
+    with pytest.raises(ValueError, match="^invalid switch graph: origin equals dest$"):
+        simulate(invalid)
+    with pytest.raises(ValueError, match="^invalid switch graph: origin equals dest$"):
+        list(replay(invalid, 1))
+    for start in (-1, 3, 10**30):
+        message = f"^start out of range \\({start} not in 0..2\\)$"
+        with pytest.raises(ValueError, match=message):
+            simulate(T3, start=start)
+        with pytest.raises(ValueError, match=message):
+            next(replay(T3, 2, start=start))
+    assert simulate(T3, start=2, targets={1}).verdict is Verdict.NON_TERMINATING
+    assert list(replay(T3, 1, start=2)) == [TraceStep(0, 2, 0, 2)]
+
+
 def test_prefix_of_zero_steps_is_the_start_state():
     for g in (T1, T2, T3):
         assert run_prefix(g, 0) == (g.origin, (0,) * (2 * g.n), 0)
@@ -276,14 +292,15 @@ def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
         if matched or outcome.verdict is Verdict.TERMINATED:
             continue  # Brent's anchors matched, or the run ended, within the budget
         stopped += 1
-        returns = [c[1] for c in calls if c != "repeat" and c[0] == ("start",)]
+        ran = calls[:]  # run_prefix below steps too
+        returns = [c[1] for c in ran if c != "repeat" and c[0] == ("start",)]
         if run_prefix(g, budget).vertex in reverse_reachable(g, g.dest):
-            assert returns == [] and "repeat" not in calls, (g, budget)
+            assert returns == [] and "repeat" not in ran, (g, budget)
             outside += 1
             continue
         (steps, _, cycle), = returns
         assert steps <= budget, (g, budget)
-        assert calls[-1] == "repeat" if cycle is not None else "repeat" not in calls, (g, budget)
+        assert ran[-1] == "repeat" if cycle is not None else "repeat" not in ran, (g, budget)
         continued_to_a_cycle += cycle is not None
     assert stopped >= 200 and continued_to_a_cycle >= 100, (stopped, continued_to_a_cycle)
     assert outside >= 10, outside
@@ -351,7 +368,7 @@ def _stops(g):
 
 def _assert_batched_matches_stepping(g):
     stops = _stops(g)
-    batched = _multirun(g, stops)
+    batched = _multirun(g, stops, g.origin, 0, [0] * (2 * g.n))
     if batched is not None:
         assert batched == simulate(g, targets=stops), g
     return batched
@@ -389,17 +406,17 @@ def test_batched_run_without_departures_from_the_feedback_vertex():
 
 def test_the_bouncer_has_no_single_feedback_vertex():
     g = bouncer_chain(91)
-    assert _multirun(g, _stops(g)) is None
+    assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)) is None
     assert decide_arrival(g) is True
 
 
 def test_batched_answers_pass_verify(monkeypatch):
     g = counter_chain(8)
-    assert _multirun(g, _stops(g)).steps == 2 * (1 << 7) - 2
+    assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)).steps == 2 * (1 << 7) - 2
     rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
     monkeypatch.setattr(flows, "verify", lambda *args: rejected)
     with pytest.raises(AssertionError, match="failed verification"):
-        _multirun(g, _stops(g))
+        _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n))
 
 
 def test_verify_gates_hold_without_asserts():
@@ -433,7 +450,7 @@ def test_decision_of_64_vertex_chains():
         (counter_chain(64), True, (1 << 64) - 2),
         (trap_chain(64), False, (1 << 62) - 1),
     ):
-        assert _multirun(g, _stops(g)).steps == steps
+        assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)).steps == steps
         start = time.perf_counter()
         assert decide_arrival(g) is terminates
         assert time.perf_counter() - start < 1.0
@@ -568,9 +585,9 @@ def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
             departed = [0] * (2 * h.n)
             for step in trace[: rng.randrange(len(trace) + 1)]:
                 departed[2 * step.tail + step.parity] += 1
-            for kwargs in ({}, {"departed": departed}):
-                outcome = multirun(h, stops, start, switches, **kwargs)
-                assert outcome in (None, expected), (h, start, switches, kwargs)
+            for prefix in ([0] * (2 * h.n), departed):
+                outcome = multirun(h, stops, start, switches, prefix)
+                assert outcome in (None, expected), (h, start, switches, prefix)
                 alone += outcome is not None
     assert runs > 16000 and alone >= 10000, alone
     assert sum(outcome is not None for outcome in batched) >= 50
@@ -756,3 +773,92 @@ def test_decide_run_and_solve_agree_beyond_30_vertices():
             ran += 1
     assert ran >= 180, ran
 
+
+# -- prefixes: the stopped run to the destination, with a budget of t steps
+
+
+def _prefix_cases():
+    """Acceptance instances, generated graphs, chains that fall into a
+    trap late, random traps, relabelled chains and trapped counters:
+    runs that arrive, runs that cycle inside the region that cannot
+    reach the destination, and runs long enough to be batched."""
+    rng = random.Random(20261107)
+    graphs = rng.sample(acceptance_instances(), 400)
+    graphs += [
+        generate(GeneratorSpec(n=n, seed=seed, model=model))
+        for n in range(2, 41)
+        for seed in range(5)
+        for model in MODELS
+    ]
+    graphs += [chain_into_trap(rng, counter_chain(k), t) for k in range(5, 13) for t in (1, 3, 6)]
+    graphs += [chain_into_trap(rng, bouncer_chain(k), t) for k in range(5, 30, 4) for t in (1, 4)]
+    graphs += [random_trap_graph(rng, n) for n in range(8, 101, 2) for _ in range(4)]
+    graphs += [_relabelled(counter_chain, n, rng)[0] for n in range(3, 15)]
+    graphs += [_relabelled(trap_chain, n, rng)[0] for n in range(4, 15)]
+    graphs += [trapped_counter(k) for k in range(3, 15)]
+    return rng, graphs
+
+
+def test_prefixes_match_the_replay(monkeypatch):
+    # Each prefix is counted from one replay of the run, at every t of
+    # runs up to 200 steps and at a sample of t (around the 4n phase, the
+    # end and random points) of longer ones.  A run that does not arrive
+    # is compared up to its first repeat or its first 5000 steps.
+    import switchflow.simulate as engine
+
+    batched = []
+    multirun = engine._multirun
+    monkeypatch.setattr(
+        engine, "_multirun", lambda *a: batched.append(multirun(*a)) or batched[-1]
+    )
+    rng, graphs = _prefix_cases()
+    compared = beyond = in_x = 0
+    for g in graphs:
+        outcome = simulate(g, budget=5000)
+        end = outcome.steps
+        if end <= 200:
+            ts = set(range(end + 1))
+        else:
+            ts = {0, 1, 4 * g.n - 1, 4 * g.n, 4 * g.n + 1, end - 1, end}
+            ts |= {rng.randrange(end + 1) for _ in range(40)}
+        ts = {t for t in ts if 0 <= t <= end}
+        v, profile = g.origin, [0] * (2 * g.n)
+        expected = {0: (v, tuple(profile))}
+        for step in replay(g, end):
+            profile[2 * step.tail + step.parity] += 1
+            v = step.head
+            if step.step + 1 in ts:
+                expected[step.step + 1] = (v, tuple(profile))
+        for t in ts:
+            state = run_prefix(g, t)
+            vertex, counts = expected[t]
+            parity = sum(1 << u for u in range(g.n) if (counts[2 * u] + counts[2 * u + 1]) & 1)
+            assert state == (vertex, counts, parity), (g, t)
+            compared += 1
+        if outcome.verdict is Verdict.TERMINATED:
+            for t in (end + 1, end + 7):
+                message = f"^prefix beyond termination: run ended after {end} steps, {t} requested$"
+                with pytest.raises(ValueError, match=message):
+                    run_prefix(g, t)
+                beyond += 1
+        else:
+            in_x += v not in reverse_reachable(g, g.dest)
+    assert len(graphs) >= 1000 and compared >= 14000, (len(graphs), compared)
+    assert beyond >= 1400 and in_x >= 300, (beyond, in_x)
+    assert sum(outcome is not None for outcome in batched) >= 400
+
+
+def test_prefixes_of_the_64_vertex_counter_chain():
+    # the run arrives at step 2**64 - 2, so replaying it would never finish
+    g = counter_chain(64)
+    end = (1 << 64) - 2
+    start = time.perf_counter()
+    state = run_prefix(g, end)
+    assert time.perf_counter() - start < 1.0
+    assert state.vertex == 63 and sum(state.profile) == end
+    assert state.profile == run(g).profile and state.switches == 0
+    for t in (end + 1, 1 << 70):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^prefix beyond termination: run ended after {end} "):
+            run_prefix(g, t)
+        assert time.perf_counter() - start < 1.0, t
