@@ -29,6 +29,7 @@ the plain graph, and replacing any of its fields gives a plain graph.
 from __future__ import annotations
 
 import json
+import sys
 from typing import NamedTuple
 
 EVEN = 0
@@ -191,18 +192,10 @@ def reverse_reachable(g: SwitchGraph, target: int) -> set[int]:
     return {v for v, d in enumerate(distances_to(g, target)) if d is not None}
 
 
-def _expect(cond: bool, position: str, message: str) -> None:
-    if not cond:
-        raise GraphFormatError(f"{position}: {message}")
-
-
 def _int_field(doc: dict, key: str) -> int:
     value = doc[key]
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"$.{key}",
-        f"expected integer, found {value!r}",
-    )
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphFormatError(f"$.{key}: expected integer, found {value!r}")
     return value
 
 
@@ -210,9 +203,10 @@ def _array(doc: dict, key: str, n: int | None = None, entry: type = int) -> tupl
     """The array of ``entry`` values (``int`` or ``str``; a boolean is no
     ``int`` here) at ``key``, of exactly ``n`` entries when ``n`` is given."""
     value = doc[key]
-    _expect(isinstance(value, list), f"$.{key}", f"expected array, found {value!r}")
-    if n is not None:
-        _expect(len(value) == n, f"$.{key}", f"expected {n} entries, found {len(value)}")
+    if not isinstance(value, list):
+        raise GraphFormatError(f"$.{key}: expected array, found {value!r}")
+    if n is not None and len(value) != n:
+        raise GraphFormatError(f"$.{key}: expected {n} entries, found {len(value)}")
     for i, item in enumerate(value):
         if type(item) is not entry:
             name = "string" if entry is str else "integer"
@@ -234,17 +228,22 @@ def _document(text: str, required: tuple[str, ...], optional: tuple[str, ...] = 
         doc = json.loads(text, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise GraphFormatError(f"$: integer over {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise GraphFormatError("$: nested too deeply") from None
-    _expect(isinstance(doc, dict), "$", f"expected object, found {type(doc).__name__}")
+    if not isinstance(doc, dict):
+        raise GraphFormatError(f"$: expected object, found {type(doc).__name__}")
     if len(doc) < len(pairs):
         seen: set[str] = set()
         key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise GraphFormatError(f"$.{key}: duplicate field")
     for key in doc:
-        _expect(key in required or key in optional, f"$.{key}", "unknown field")
+        if key not in required and key not in optional:
+            raise GraphFormatError(f"$.{key}: unknown field")
     for key in required:
-        _expect(key in doc, f"$.{key}", "missing required field")
+        if key not in doc:
+            raise GraphFormatError(f"$.{key}: missing required field")
     return doc
 
 
@@ -261,7 +260,8 @@ def parse(text: str) -> SwitchGraph:
     """
     doc = _document(text, _REQUIRED_KEYS, ("labels",))
     n = _int_field(doc, "n")
-    _expect(n >= 1, "$.n", f"vertex count must be positive, found {n}")
+    if n < 1:
+        raise GraphFormatError(f"$.n: vertex count must be positive, found {n}")
     g = _Valid(
         n=n,
         labels=_array(doc, "labels", n, str) if "labels" in doc else None,  # reported first

@@ -251,15 +251,15 @@ def extract_certificate(inst: LocalOptInstance, solution: SearchState) -> Certif
     )
 
 
-def solve_s_arrival(g: SwitchGraph, budget: int | None = None) -> Certificate:
+def solve_s_arrival(g: SwitchGraph) -> Certificate:
     """End to end: augment, build the instance, walk from reset, extract.
 
-    The returned certificate's kind always matches the simulation
-    verdict of ``g``: a termination witness iff the run reaches its
-    destination.
+    The walk has no budget but the ascent bound, which it never reaches;
+    the certificate's kind always matches the simulation verdict of
+    ``g``: a termination witness iff the run reaches its destination.
     """
     inst = LocalOptInstance(augment(g))
-    solution, _ = walk_localopt(inst, budget=budget)
+    solution, _ = walk_localopt(inst)
     return extract_certificate(inst, solution)
 
 

@@ -91,11 +91,6 @@ class _Falsified(Exception):
         super().__init__(detail)
 
 
-def _require(cond: bool, family: str, detail: str) -> None:
-    if not cond:
-        raise _Falsified(family, detail)
-
-
 def prefix_states(g: SwitchGraph, targets: Sequence[int]) -> list[simulate.PrefixState]:
     """All simulation states (vertex, profile, switches) for t = 0..T,
     reconstructed from one replay instead of T re-simulations."""
@@ -122,12 +117,12 @@ def _check_instance(
     h, o_bar = aug.h, aug.o_bar
 
     duality = check_duality(g)
-    _require(
-        duality.ok,
-        "duality",
-        f"verdicts g={duality.g_terminates} to_dest={duality.to_dest_terminates} "
-        f"to_dbar={duality.to_dbar_terminates}",
-    )
+    if not duality.ok:
+        raise _Falsified(
+            "duality",
+            f"verdicts g={duality.g_terminates} to_dest={duality.to_dest_terminates} "
+            f"to_dbar={duality.to_dbar_terminates}",
+        )
     report.passed["duality"] += 1
 
     # The run on the augmented board, stopped at whichever terminal comes
@@ -135,15 +130,13 @@ def _check_instance(
     states = prefix_states(h, targets=aug.terminals)
     for t, st in enumerate(states):
         rep = verify(h, o_bar, st.vertex, st.profile)
-        _require(
-            rep.valid,
-            "prefix-flows",
-            f"prefix t={t} at vertex {st.vertex} failed: {rep}",
-        )
+        if not rep.valid:
+            raise _Falsified("prefix-flows", f"prefix t={t} at vertex {st.vertex} failed: {rep}")
     if duality.g_terminates:
         g_outcome = simulate.simulate(g)
         rep = verify(g, g.origin, g.dest, g_outcome.profile)
-        _require(rep.valid, "prefix-flows", f"source run profile failed: {rep}")
+        if not rep.valid:
+            raise _Falsified("prefix-flows", f"source run profile failed: {rep}")
     report.passed["prefix-flows"] += 1
 
     full = states[-1]
@@ -152,64 +145,59 @@ def _check_instance(
         t = rng.randrange(1, len(states))
         st = states[t]
         got = flows.complete(aug, st.vertex, st.profile)
-        _require(
-            got.reached == reached and got.flow == full.profile,
-            "completion",
-            f"cutoff t={t}: completion reached {got.reached}, "
-            f"expected the full run profile to {reached}",
-        )
+        if got.reached != reached or got.flow != full.profile:
+            raise _Falsified(
+                "completion",
+                f"cutoff t={t}: completion reached {got.reached}, "
+                f"expected the full run profile to {reached}",
+            )
         rep = verify(h, o_bar, got.reached, got.flow)
-        _require(rep.valid, "completion", f"completed flow failed: {rep}")
+        if not rep.valid:
+            raise _Falsified("completion", f"completed flow failed: {rep}")
         zeroed = {2 * v + p for v in (aug.source_dest, aug.d_bar) for p in (0, 1)}
-        _require(
-            all(
-                z >= x
-                for si, (z, x) in enumerate(zip(got.flow, st.profile))
-                if si not in zeroed
-            ),
-            "completion",
-            f"cutoff t={t}: completed flow shrank outside the terminal self-loops",
-        )
+        if any(z < x for si, (z, x) in enumerate(zip(got.flow, st.profile)) if si not in zeroed):
+            raise _Falsified(
+                "completion",
+                f"cutoff t={t}: completed flow shrank outside the terminal self-loops",
+            )
         bounds = flows.check_bounds(aug, got.flow, got.reached)
-        _require(bounds.ok, "completion", f"bound violations: {bounds.violations}")
+        if not bounds.ok:
+            raise _Falsified("completion", f"bound violations: {bounds.violations}")
     bounds = flows.check_bounds(aug, full.profile, reached)
-    _require(bounds.ok, "completion", f"run profile bound violations: {bounds.violations}")
+    if not bounds.ok:
+        raise _Falsified("completion", f"run profile bound violations: {bounds.violations}")
     report.passed["completion"] += 1
 
     inst = local_search.LocalOptInstance(aug)
     state = inst.reset
     for t, st in enumerate(states):
-        _require(
-            state.vertex == st.vertex and state.flow == st.profile,
-            "trace-equivalence",
-            f"walk state at t={t} is {state}, run prefix is {st}",
-        )
+        if state.vertex != st.vertex or state.flow != st.profile:
+            raise _Falsified(
+                "trace-equivalence", f"walk state at t={t} is {state}, run prefix is {st}"
+            )
         if t < len(states) - 1:
             nxt = inst.neighbor(state)
-            _require(
-                inst.potential(nxt) == inst.potential(state) + 1,
-                "trace-equivalence",
-                f"potential did not rise by 1 at t={t}",
-            )
+            if inst.potential(nxt) != inst.potential(state) + 1:
+                raise _Falsified("trace-equivalence", f"potential did not rise by 1 at t={t}")
             state = nxt
     solution, walk_steps = local_search.walk_localopt(inst)
-    _require(
-        solution.vertex == reached and walk_steps == len(states) - 1,
-        "trace-equivalence",
-        f"walk ended at {solution.vertex} after {walk_steps} steps, "
-        f"run ended at {reached} after {len(states) - 1}",
-    )
+    if solution.vertex != reached or walk_steps != len(states) - 1:
+        raise _Falsified(
+            "trace-equivalence",
+            f"walk ended at {solution.vertex} after {walk_steps} steps, "
+            f"run ended at {reached} after {len(states) - 1}",
+        )
     cert = local_search.extract_certificate(inst, solution)
     expected_kind = (
         local_search.TERMINATION if duality.g_terminates else local_search.NON_TERMINATION
     )
-    _require(
-        cert.kind == expected_kind,
-        "trace-equivalence",
-        f"certificate kind {cert.kind}, decision says {expected_kind}",
-    )
+    if cert.kind != expected_kind:
+        raise _Falsified(
+            "trace-equivalence", f"certificate kind {cert.kind}, decision says {expected_kind}"
+        )
     rep = verify(h, cert.origin, cert.dest, cert.flow)
-    _require(rep.valid, "trace-equivalence", f"certificate failed re-verification: {rep}")
+    if not rep.valid:
+        raise _Falsified("trace-equivalence", f"certificate failed re-verification: {rep}")
     report.passed["trace-equivalence"] += 1
 
 

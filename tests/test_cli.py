@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import time
 import tracemalloc
 
@@ -463,6 +464,17 @@ def test_deeply_nested_documents_are_content_errors(capsys, t1_file, tmp_path):
         ("verify-flow", "--input", t1_file, "--flow", str(deep)),
     ):
         assert run_cli(capsys, *argv) == (1, "", "error: $: nested too deeply\n"), argv
+
+
+def test_integer_literals_past_the_digit_limit_are_content_errors(capsys, t1_file, tmp_path):
+    long = tmp_path / "long.json"
+    long.write_text('{"n": ' + "1" * 5000 + "}")
+    error = f"error: $: integer over {sys.get_int_max_str_digits()} digits\n"
+    for argv in (
+        ("decide", "--input", str(long)),
+        ("verify-flow", "--input", t1_file, "--flow", str(long)),
+    ):
+        assert run_cli(capsys, *argv) == (1, "", error), argv
 
 
 def test_stdin_is_the_default_input(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +340,13 @@ def test_parse_flow_rejects_duplicate_fields():
 def test_parse_flow_rejects_deeply_nested_documents():
     text = '{"origin":0,"dest":1,"counts":' + "[" * 200000 + "]" * 200000 + "}"
     with pytest.raises(GraphFormatError, match=r"^\$: nested too deeply$"):
+        parse_flow(text)
+
+
+def test_parse_flow_rejects_integer_literals_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = '{"origin":0,"dest":1,"counts":[' + "1" * 5000 + "]}"
+    with pytest.raises(GraphFormatError, match=rf"^\$: integer over {limit} digits$"):
         parse_flow(text)
 
 

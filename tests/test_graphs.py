@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from switchflow import graphs
 from switchflow.generate import GeneratorSpec, generate
 from switchflow.graphs import (
     EVEN,
@@ -322,6 +324,39 @@ def test_parse_rejects_deeply_nested_documents():
     for text in ("[" * 200000 + "]" * 200000, '{"n":' * 5000 + "1" + "}" * 5000):
         with pytest.raises(GraphFormatError, match=r"^\$: nested too deeply$"):
             parse(text)
+
+
+def test_parse_rejects_integer_literals_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    long = "1" * 5000
+    t1 = serialize(T1)
+    for text in (f'{{"n": {long}}}', t1.replace('"even":[1,1]', f'"even":[1,{long}]')):
+        assert long in text
+        with pytest.raises(GraphFormatError, match=rf"^\$: integer over {limit} digits$"):
+            parse(text)
+
+
+class _Unprintable:
+    """Mixed into a JSON value type: a message built from the value raises."""
+
+    def __repr__(self):
+        raise RuntimeError("repr of a field that passed its check")
+
+
+class _UnprintableInt(_Unprintable, int):
+    pass
+
+
+class _UnprintableList(_Unprintable, list):
+    pass
+
+
+def test_int_field_formats_no_message_for_a_good_integer():
+    assert graphs._int_field({"n": _UnprintableInt(3)}, "n") == 3
+
+
+def test_array_formats_no_message_for_a_good_array():
+    assert graphs._array({"even": _UnprintableList([0, 1])}, "even", 2) == (0, 1)
 
 
 def test_dot_export_has_one_line_per_slot():

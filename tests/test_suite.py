@@ -71,6 +71,17 @@ def test_failure_reports_carry_a_reproduction_spec():
     assert parse(report.failure.graph_json) == generate(report.failure.spec)
 
 
+def test_passing_checks_format_no_reports():
+    class Unprintable(flows.FlowCheckReport):
+        def __repr__(self):
+            raise RuntimeError("repr of a report that passed its check")
+
+    def quiet(*args):
+        return Unprintable(*flows.verify(*args))
+
+    assert run_checks(6, 20, 7, verify=quiet) == run_checks(6, 20, 7)
+
+
 def test_empty_report_is_ok():
     assert CheckReport().ok
 
