@@ -12,9 +12,7 @@ integer wider than a slot index, and the graph is never mutated.  The
 public records give the table as a switch word, bit ``v`` set where
 ``v`` departs odd next.  A full simulation state is the pair (vertex,
 table) and the state space has size ``n * 2**n``, so either the
-destination is reached or some state repeats.  Repeats are found by
-Brent's cycle detection, which keeps one earlier state instead of every
-visited one, so runs need O(n) memory at any ``n``.
+destination is reached or some state repeats.
 
 The engine computes outcomes only.  Traces replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
@@ -22,14 +20,20 @@ The engine computes outcomes only.  Traces replay the run
 One stopped run, from any vertex and switch word to the first of a set
 of stops, serves :func:`simulate` (and so :func:`run`),
 :func:`decide_arrival`, :func:`run_prefix` (with a budget of ``t``
-steps), the local-search walk and flow completion.  A run that outlasts
-a ``4n``-step phase is stopped where its targets fall out of reach, and
-only a token left there goes on to Brent's search.  When one vertex
-cuts every cycle of the non-stop vertices, the stopped run is computed
-without stepping: batched passes fire each vertex's whole token count
-at once, a bisection over the feedback vertex's departure count finds
-the run profile, and ``flows.verify`` checks it before it is trusted.
-Other stopped runs are stepped.
+steps), the local-search walk and flow completion.  A run kept to the
+vertices that reach a target arrives (Dohrau et al.), so a run that
+never arrives enters the closed region of the vertices that reach none,
+and deciding arrival needs no cycle search: a ``4n``-step phase without
+cycle checks ends short runs, and a longer one is stopped where its
+targets fall out of reach.  Only :func:`simulate` goes on from there,
+with Brent's cycle detection, which keeps one earlier state instead of
+every visited one, so runs need O(n) memory at any ``n``.  When one
+vertex cuts every cycle of the non-stop vertices, the stopped run is
+computed without stepping: batched passes fire each vertex's whole
+token count at once, a bisection over the feedback vertex's departure
+count finds the run profile, and ``flows.verify`` checks it before it is
+trusted.  Other stopped runs are stepped by their own loop
+(:func:`_tail`), which keeps no step counter and makes no cycle check.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -37,8 +41,10 @@ are exact at any magnitude.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import PARITY_NAMES, SwitchGraph, require_valid, reverse_reachable
 
@@ -106,7 +112,7 @@ def simulate(
     g = require_valid(g)
     n, start = g.n, _start(g, start)
     targets = (g.dest,) if targets is None else frozenset(targets)
-    steps, v, profile, cycle, entry = _long_run(g, start, switches, targets, budget)
+    steps, v, profile, entry = _long_run(g, start, switches, targets, budget)
     if entry is None:
         verdict = Verdict.TERMINATED if v in targets else Verdict.BUDGET_EXHAUSTED
         return RunOutcome(verdict, tuple(profile), steps, v)
@@ -114,15 +120,14 @@ def simulate(
     heads = g.heads()
     x, p = (v, list(profile)) if entry else (start, [0] * (2 * n))  # the state at ``entry``
     at_entry = (x, _departures(n, switches ^ _switch_word(p)), entry, p)
+    nxt, profile = _departures(n, switches ^ _switch_word(profile)), list(profile)
+    more, v, cycle = _step(heads, v, nxt, profile, (), budget - steps)
+    steps += more
     if cycle is None:
-        nxt, profile = _departures(n, switches ^ _switch_word(profile)), list(profile)
-        more, v, cycle = _step(heads, v, nxt, profile, (), budget - steps)
-        steps += more
-        if cycle is None:
-            # A repeat within the budget puts the stopped state on a cycle of
-            # at most ``budget - entry`` steps, so it is sought by comparing
-            # the states that far on with the stopped state alone.
-            cycle = _step(heads, v, nxt, [0] * (2 * n), (), budget - entry, "start")[2]
+        # A repeat within the budget puts the stopped state on a cycle of
+        # at most ``budget - entry`` steps, so it is sought by comparing
+        # the states that far on with the stopped state alone.
+        cycle = _step(heads, v, nxt, [0] * (2 * n), (), budget - entry, "start")[2]
     if cycle is not None:
         mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, at_entry, cycle)
         if mu + cycle <= budget:
@@ -160,13 +165,16 @@ def _step(
     and the cycle length (None unless a match stopped the run, which
     never happens at a target).
 
-    Brent's cycle detection: each state is compared with the anchor, the
-    state at the last power-of-two step from step 2 on (a step flips a
-    switch, so no state recurs a step later), by table only where the
-    vertices agree.  A state before the cycle never recurs, so the first
-    match gives the cycle length exactly.  ``detect_cycles="start"``
-    compares each state with the start state alone, so a match is the
-    start's return; None skips the checks, for a run known to end."""
+    Brent's cycle detection, which only :func:`simulate`'s search in the
+    region that reaches no target runs: each state is compared with the
+    anchor, the state at the last power-of-two step from step 2 on (a
+    step flips a switch, so no state recurs a step later), by table only
+    where the vertices agree.  A state before the cycle never recurs, so
+    the first match gives the cycle length exactly.
+    ``detect_cycles="start"`` compares each state with the start state
+    alone, so a match is the start's return; None skips the checks, as
+    the ``4n``-step phases of :func:`_long_run` and :func:`_stopped_run`
+    do, which need no cycle."""
     steps = 0
     anchor_v, anchor_nxt, anchor_step = -1, None, 0
     if detect_cycles == "start":
@@ -249,44 +257,43 @@ def decide_arrival(g: SwitchGraph) -> bool:
 
 def _long_run(
     g: SwitchGraph, start: int, switches: int, targets: Container[int], budget: int | None = None
-) -> tuple[int, int, Sequence[int], int | None, int | None]:
+) -> tuple[int, int, Sequence[int], int | None]:
     """The run from ``start`` and the switch word ``switches`` to the
     first of ``targets``, or its first ``budget`` steps (default ``2n *
     2**n``), stopped also in the closed region ``X`` of the vertices that
-    reach no target.  A ``4n``-step phase with Brent's checks ends short
-    runs; the rest of the run is :func:`_stopped_run`'s, since a run kept
-    to the vertices that reach a target arrives (Dohrau et al.), so no
-    state outside ``X`` repeats.
+    reach no target.  A run kept to the vertices that reach a target
+    arrives (Dohrau et al.), so no state outside ``X`` repeats and the
+    run needs no cycle checks: a ``4n``-step phase ends short runs, and
+    the rest of the run is :func:`_stopped_run`'s.
 
-    Returns the steps, vertex and profile where the run stopped, the
-    cycle length the phase found or None, and a step at or before the
-    first repeat from which it is sought: the step the stopped run
-    entered ``X`` at, 0 when the phase ended in ``X`` or on a cycle, and
+    Returns the steps, vertex and profile where the run stopped, and a
+    step at or before the first repeat from which it is sought: the step
+    the stopped run entered ``X`` at, 0 when the phase ended in ``X``, and
     None when the run cannot repeat (at a target, or at a budget stop
-    of the stopped run, which lies outside ``X``)."""
+    outside ``X``)."""
     n = g.n
     heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
     phase = 4 * n if budget is None else min(4 * n, budget)
-    steps, v, cycle = _step(heads, start, nxt, profile, targets, phase)
-    if v in targets or cycle is not None:
-        return steps, v, profile, cycle, None if cycle is None else 0
+    steps, v = _step(heads, start, nxt, profile, targets, phase, None)[:2]
+    if v in targets:
+        return steps, v, profile, None
     x = set(range(n))
     ends = x.intersection(targets)  # a target out of range stops nothing
     for t in ends:
         x -= reverse_reachable(g, t)
     if v in x:
-        return steps, v, profile, None, 0
+        return steps, v, profile, 0
     # that region is closed, so the phase is the stopped run's first steps
     stops = x | ends
     stopped = _stopped_run(g, start, switches, stops, budget, prefix=(steps, v, nxt, profile))
     steps, v = stopped.steps, stopped.final_vertex
     if v not in stops and budget is None:
         raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
-    return steps, v, stopped.profile, None, steps if v in x else None
+    return steps, v, stopped.profile, steps if v in x else None
 
 
 def _stopped_run(
-    g: SwitchGraph, start: int, switches: int, stops: Container[int],
+    g: SwitchGraph, start: int, switches: int, stops: Collection[int],
     budget: int | None = None, *, prefix: tuple | None = None,
 ) -> RunOutcome:
     """The run from ``start`` and the switch word ``switches`` to the first
@@ -294,7 +301,8 @@ def _stopped_run(
     without cycle checks: a run toward stops that every vertex reaches
     repeats no state.  A ``4n``-step phase, or a caller's ``prefix =
     (steps, vertex, table, profile)`` of the run (stepped on in place),
-    ends short runs; longer ones are batched (:func:`_multirun`) or stepped."""
+    ends short runs; longer ones are batched (:func:`_multirun`) or
+    stepped on by :func:`_tail`."""
     n = g.n
     budget = default_budget(n) if budget is None else budget
     heads = g.heads()
@@ -307,14 +315,43 @@ def _stopped_run(
         batched = _multirun(g, stops, start, switches, profile)
         if batched is not None and batched.steps <= budget:
             return batched
-        more, v = _step(heads, v, nxt, profile, stops, budget - steps, None)[:2]
+        more, v = _tail(heads, v, nxt, profile, stops, budget - steps)
         steps += more
     verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED
     return RunOutcome(verdict, tuple(profile), steps, v)
 
 
+def _tail(
+    heads: list[int], v: int, nxt: list[int], profile: list[int], stops: Iterable[int], budget: int
+) -> tuple[int, int]:
+    """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
+    counting departures into ``profile``, until one of ``stops`` or
+    ``budget`` steps, whichever comes first; a budget past
+    ``sys.maxsize`` steps, which no run reaches, is cut there.  Returns
+    the steps taken and the vertex reached.
+
+    The loop for long stepped runs: the stops are flags in a list (those
+    outside ``0..n-1`` flag nothing), a table gives each slot's sibling,
+    and it keeps no step counter and makes no cycle check, since the
+    profile counts every step."""
+    stop = [False] * len(nxt)
+    for t in stops:
+        if 0 <= t < len(stop):
+            stop[t] = True
+    sibling = [s ^ 1 for s in range(len(profile))]
+    before = sum(profile)
+    for _ in repeat(None, min(budget, sys.maxsize)):
+        if stop[v]:
+            break
+        s = nxt[v]
+        profile[s] += 1
+        nxt[v] = sibling[s]
+        v = heads[s]
+    return sum(profile) - before, v
+
+
 def _multirun(
-    g: SwitchGraph, stops: Container[int], start: int, switches: int, departed: Sequence[int]
+    g: SwitchGraph, stops: Collection[int], start: int, switches: int, departed: Sequence[int]
 ) -> RunOutcome | None:
     """The run from ``start`` and the switch word ``switches`` to the
     first of ``stops``, in batched passes, or None when no vertex ``s``

@@ -18,11 +18,13 @@ from switchflow.graphs import graph, reverse_reachable
 from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.reduction import augment
 from switchflow.simulate import (
+    RunOutcome,
     TraceStep,
     Verdict,
     _feedback_vertex,
     _multirun,
     _stopped_run,
+    _switch_word,
     decide_arrival,
     default_budget,
     format_trace,
@@ -609,6 +611,64 @@ def test_stopped_runs_stop_at_the_budget():
                 assert got == expected, (family, start, switches, budget)
 
 
+def test_stepped_tails_match_the_reference(monkeypatch):
+    # Relabelled bouncer chains have no vertex that cuts every cycle, so
+    # the run past its 4n phase is stepped by the tail loop to its end at
+    # (n - 1)**2 steps.  Budgets sit at random steps inside the tail, at
+    # the run's end and past sys.maxsize; a budget stop is the reference
+    # run's state at that step.
+    import switchflow.simulate as engine
+
+    tails = []
+    tail = engine._tail
+    monkeypatch.setattr(engine, "_tail", lambda *args: tails.append(tail(*args)) or tails[-1])
+    rng = random.Random(20261201)
+    for n in range(64, 129, 4):
+        g, _ = _relabelled(bouncer_chain, n, rng)
+        full, trace = reference_run(g)
+        end = full.steps
+        assert end == (n - 1) ** 2 and list(replay(g, end)) == trace
+        cuts = sorted(rng.randrange(4 * n + 1, end) for _ in range(3))
+        profile = [0] * (2 * n)
+        expected = {}
+        for step in trace[: cuts[-1]]:
+            profile[2 * step.tail + step.parity] += 1
+            if step.step + 1 in cuts:
+                state = (tuple(profile), step.step + 1, step.head)
+                expected[step.step + 1] = RunOutcome(Verdict.BUDGET_EXHAUSTED, *state)
+        expected |= {end: full, 1 << 80: full}
+        for budget, want in expected.items():
+            tails.clear()
+            outcome = simulate(g, budget=budget)
+            assert outcome == want, (n, budget)
+            assert [steps for steps, _ in tails] == [outcome.steps - 4 * n], (n, budget)
+            state = run_prefix(g, outcome.steps)
+            assert state == (want.final_vertex, want.profile, _switch_word(want.profile))
+        assert decide_arrival(g) is True
+
+
+def test_targets_out_of_range_stop_nothing():
+    # A negative target names no vertex, so it must not flag vertex n - 1
+    # the way a list index would.  The relabelled chain passes n - 1
+    # before its destination, and so does its tail.
+    import switchflow.simulate as engine
+
+    rng = random.Random(20261202)
+    g = bouncer_chain(91)
+    relabelled, perm = _relabelled(bouncer_chain, 91, rng)
+    while perm[90] == 90:
+        relabelled, perm = _relabelled(bouncer_chain, 91, rng)
+    for h in (g, relabelled):
+        outcome = simulate(h, targets={-1, h.n, 2 * h.n, h.dest})
+        assert outcome == simulate(h, targets={h.dest}) == reference_run(h)[0]
+        assert (outcome.verdict, outcome.steps) == (Verdict.TERMINATED, 90**2)
+        nxt, profile = engine._departures(h.n, 0), [0] * (2 * h.n)
+        out_of_range = {-1, h.n, 2 * h.n}
+        steps, v = engine._tail(h.heads(), h.origin, nxt, profile, out_of_range, 90**2 - 1)
+        assert steps == sum(profile) == 90**2 - 1
+        assert v == reference_run(h, 90**2 - 1)[0].final_vertex
+
+
 def _run_cases():
     """Terminating and non-terminating graphs at n = 2..100: generated,
     funnelled into random traps, trapped counters, relabelled chains and
@@ -650,7 +710,7 @@ def test_run_matches_the_reference_through_the_stop(monkeypatch):
         outcome = run(g)
         assert (outcome, list(replay(g, outcome.steps))) == expected, g
         compared += 1
-        (_, _, _, _, entry), = stopped
+        (_, _, _, entry), = stopped
         if entry:  # the step at which the stopped run entered X_d
             assert outcome.verdict is Verdict.NON_TERMINATING
             through_x_d += 1
@@ -767,8 +827,8 @@ def test_decide_run_and_solve_agree_beyond_30_vertices():
         terminates = decide_arrival(g)
         assert (solve_s_arrival(g).kind == TERMINATION) == terminates, g
         stepped = simulate(g, budget=10**5).verdict is Verdict.BUDGET_EXHAUSTED
-        _, _, _, cycle, entry = engine._long_run(g, g.origin, 0, (g.dest,))
-        if not (stepped and cycle is None and entry == 0):  # the phase ended in X_d
+        entry = engine._long_run(g, g.origin, 0, (g.dest,))[3]
+        if not (stepped and entry == 0):  # the phase ended in X_d
             assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
             ran += 1
     assert ran >= 180, ran
