@@ -128,6 +128,8 @@ def graph(n: int, even, odd, origin: int, dest: int, labels=None) -> SwitchGraph
 def validate(g: SwitchGraph) -> list[str]:
     """Return every invariant violation; an empty list means the graph is valid."""
     n, even, odd, origin, dest, labels = g
+    if not isinstance(n, int) or isinstance(n, bool):  # a bool is no ``int`` here
+        return [f"n: expected integer, found {n!r}"]
     if n < 1:
         return [f"n: vertex count must be positive, found {n}"]
     violations = []
@@ -146,12 +148,20 @@ def validate(g: SwitchGraph) -> list[str]:
                         f"{name}[{v}]: successor out of range ({w!r} not in 0..{n - 1})"
                     )
     for name, v in (("origin", origin), ("dest", dest)):
-        if not 0 <= v < n:
+        if not isinstance(v, int) or isinstance(v, bool):
+            violations.append(f"{name}: expected integer, found {v!r}")
+        elif not 0 <= v < n:
             violations.append(f"{name}: vertex out of range ({v} not in 0..{n - 1})")
     if origin == dest:
         violations.append("origin equals dest")
-    if labels is not None and len(labels) != n:
-        violations.append(f"labels: bad vertex count, expected {n} labels, found {len(labels)}")
+    if labels is not None:
+        if len(labels) != n:
+            violations.append(f"labels: bad vertex count, expected {n} labels, found {len(labels)}")
+        violations += [
+            f"labels[{v}]: expected string, found {a!r}"
+            for v, a in enumerate(labels)
+            if not isinstance(a, str)
+        ]
     return violations
 
 

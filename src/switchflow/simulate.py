@@ -23,11 +23,12 @@ of stops, serves :func:`simulate` (and so :func:`run`),
 steps), the local-search walk and flow completion.  A run kept to the
 vertices that reach a target arrives (Dohrau et al.), so a run that
 never arrives enters the closed region of the vertices that reach none,
-and deciding arrival needs no cycle search: a ``4n``-step phase without
-cycle checks ends short runs, and a longer one is stopped where its
+and deciding arrival needs no cycle search: a ``4n``-step phase
+(:func:`_step`) ends short runs, and a longer one is stopped where its
 targets fall out of reach.  Only :func:`simulate` goes on from there,
-with Brent's cycle detection, which keeps one earlier state instead of
-every visited one, so runs need O(n) memory at any ``n``.  When one
+and the whole cycle search is :func:`_first_repeat`'s: Brent's cycle
+detection, which keeps one earlier state instead of every visited one,
+so runs need O(n) memory at any ``n``.  When one
 vertex cuts every cycle of the non-stop vertices, the stopped run is
 computed without stepping: batched passes fire each vertex's whole
 token count at once, a bisection over the feedback vertex's departure
@@ -105,9 +106,10 @@ def simulate(
     The run from ``start`` (default: the origin) and the switch word
     ``switches`` to the first of ``targets`` (default: the destination) is
     :func:`_long_run`'s.  Only a token it leaves where the targets are out
-    of reach goes on to Brent's search, and that region is closed, so the
-    run repeats no earlier than the step the token entered it at.  The
-    outcome's steps are replayed by :func:`replay`.
+    of reach goes on to :func:`_first_repeat`'s cycle search.  That region
+    is closed, so the run repeats no earlier than the step the token
+    entered it at, where the search starts (or at the start, at most
+    ``4n`` steps back).  :func:`replay` replays the outcome's steps.
     """
     g = require_valid(g)
     n, start = g.n, _start(g, start)
@@ -116,25 +118,11 @@ def simulate(
     if entry is None:
         verdict = Verdict.TERMINATED if v in targets else Verdict.BUDGET_EXHAUSTED
         return RunOutcome(verdict, tuple(profile), steps, v)
+    if not entry:  # the phase ended in the region: the search starts at the start
+        v, profile = start, [0] * (2 * n)
+    nxt = _departures(n, switches ^ _switch_word(profile))
     budget = default_budget(n) if budget is None else budget
-    heads = g.heads()
-    x, p = (v, list(profile)) if entry else (start, [0] * (2 * n))  # the state at ``entry``
-    at_entry = (x, _departures(n, switches ^ _switch_word(p)), entry, p)
-    nxt, profile = _departures(n, switches ^ _switch_word(profile)), list(profile)
-    more, v, cycle = _step(heads, v, nxt, profile, (), budget - steps)
-    steps += more
-    if cycle is None:
-        # A repeat within the budget puts the stopped state on a cycle of
-        # at most ``budget - entry`` steps, so it is sought by comparing
-        # the states that far on with the stopped state alone.
-        cycle = _step(heads, v, nxt, [0] * (2 * n), (), budget - entry, "start")[2]
-    if cycle is not None:
-        mu, v_mu, nxt_mu, profile_mu = _first_repeat(heads, at_entry, cycle)
-        if mu + cycle <= budget:
-            sw_mu = sum(1 << u for u, s in enumerate(nxt_mu) if s & 1)  # the switch word
-            witness = CycleWitness(v_mu, sw_mu, mu, mu + cycle)
-            return RunOutcome(Verdict.NON_TERMINATING, profile_mu, mu + cycle, v_mu, witness)
-    return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(profile), steps, v)
+    return _first_repeat(g.heads(), v, nxt, list(profile), entry, budget)
 
 
 def _start(g: SwitchGraph, start: int | None) -> int:
@@ -151,73 +139,72 @@ def _departures(n: int, sw: int) -> list[int]:
 
 
 def _step(
-    heads: list[int],
-    v: int,
-    nxt: list[int],
-    profile: list[int],
-    targets: Container[int],
-    budget: int,
-    detect_cycles: str | None = "brent",
-) -> tuple[int, int, int | None]:
-    """Step the token from vertex ``v`` and slot table ``nxt`` (in place),
-    counting departures into ``profile``, until a target, the first
-    match, or the budget.  Returns the steps taken, the vertex reached
-    and the cycle length (None unless a match stopped the run, which
-    never happens at a target).
-
-    Brent's cycle detection, which only :func:`simulate`'s search in the
-    region that reaches no target runs: each state is compared with the
-    anchor, the state at the last power-of-two step from step 2 on (a
-    step flips a switch, so no state recurs a step later), by table only
-    where the vertices agree.  A state before the cycle never recurs, so
-    the first match gives the cycle length exactly.
-    ``detect_cycles="start"`` compares each state with the start state
-    alone, so a match is the start's return; None skips the checks, as
-    the ``4n``-step phases of :func:`_long_run` and :func:`_stopped_run`
-    do, which need no cycle."""
-    steps = 0
-    anchor_v, anchor_nxt, anchor_step = -1, None, 0
-    if detect_cycles == "start":
-        anchor_v, anchor_nxt = v, nxt[:]
-    checks, brent = detect_cycles is not None, detect_cycles == "brent"  # bools test fastest
-    while v not in targets:
-        if steps >= budget:
-            return steps, v, None
+    heads: list[int], v: int, nxt: list[int], profile: list[int], stops: Container[int], budget: int
+) -> tuple[int, int]:
+    """The ``4n``-step phase: step the token from vertex ``v`` and slot
+    table ``nxt`` (in place), counting departures into ``profile``, until
+    one of ``stops`` or ``budget`` steps; returns the steps and vertex."""
+    for steps in range(budget):
+        if v in stops:
+            return steps, v
         s = nxt[v]
         profile[s] += 1
         nxt[v] = s ^ 1
         v = heads[s]
-        steps += 1
-        if checks:
-            if v == anchor_v and nxt == anchor_nxt:
-                return steps, v, steps - anchor_step
-            if not steps & (steps - 1) and steps > 1 and brent:
-                anchor_v, anchor_nxt, anchor_step = v, nxt[:], steps
-    return steps, v, None
+    return budget, v
 
 
 def _first_repeat(
-    heads: list[int], start: tuple[int, list[int], int, list[int]], cycle: int
-) -> tuple[int, int, list[int], tuple[int, ...]]:
-    """Where the run first repeats, given its cycle length and a state
-    ``start = (vertex, table, step, profile)`` it passed at or before
-    that repeat: a lead token ``cycle`` steps ahead of a trailing one
-    from there first shares its state at step mu.  Returns mu, that
-    state and the lead's profile; ``start``'s lists are stepped in place."""
-    v, nxt, base, profile = start
-    lead_v, lead_nxt = v, nxt[:]
-    steps = 0
-    while steps < cycle or lead_v != v or lead_nxt != nxt:
+    heads: list[int], v: int, nxt: list[int], profile: list[int], step: int, budget: int
+) -> RunOutcome:
+    """The run on from its state at ``step``, at or before its first
+    repeat: vertex ``v``, slot table ``nxt`` and ``profile`` (both stepped
+    in place), to that repeat or to ``budget`` steps.
+
+    Brent's cycle detection: each state is compared with the anchor, the
+    state at the last power-of-two step from step 2 on, counted from
+    ``step`` (a step flips a switch, so no state recurs a step later), by
+    table only where the vertices agree.  A state before the cycle never
+    recurs, so the first match gives the cycle length exactly.  The state
+    at ``budget`` is the last anchor, for ``budget - step`` more steps: a
+    repeat within the budget puts it on a cycle that short.  On a match,
+    a lead token ``cycle`` steps ahead of a trailing one from ``step``
+    first shares its state at the first repeat, mu."""
+    left = budget - step
+    start_v, start_nxt, start_profile = v, nxt[:], profile[:]
+    anchor_v, anchor_nxt, anchor, mark = -1, None, 0, min(2, left)
+    stop_v, stop_profile = v, profile  # the state at ``budget``
+    for steps in range(1, 2 * left + 1):
+        s = nxt[v]
+        profile[s] += 1
+        nxt[v] = s ^ 1
+        v = heads[s]
+        if v == anchor_v and nxt == anchor_nxt:
+            break
+        if steps == mark:
+            anchor_v, anchor_nxt, anchor, mark = v, nxt[:], steps, min(2 * steps, left)
+            if steps == left:
+                stop_v, stop_profile = v, profile[:]
+    else:
+        return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(stop_profile), budget, stop_v)
+    cycle = steps - anchor
+    v, nxt, profile, lead_nxt = start_v, start_nxt, start_profile, start_nxt[:]
+    lead_v = _tail(heads, v, lead_nxt, profile, (), cycle)[1]
+    mu = 0
+    while lead_v != v or lead_nxt != nxt:
         s = lead_nxt[lead_v]
         profile[s] += 1
         lead_nxt[lead_v] = s ^ 1
         lead_v = heads[s]
-        if steps >= cycle:
-            s = nxt[v]
-            nxt[v] = s ^ 1
-            v = heads[s]
-        steps += 1
-    return base + steps - cycle, v, nxt, tuple(profile)
+        s = nxt[v]
+        nxt[v] = s ^ 1
+        v = heads[s]
+        mu += 1
+    if mu + cycle > left:
+        return RunOutcome(Verdict.BUDGET_EXHAUSTED, tuple(stop_profile), budget, stop_v)
+    sw = sum(1 << u for u, s in enumerate(nxt) if s & 1)  # the switch word
+    witness = CycleWitness(v, sw, step + mu, step + mu + cycle)
+    return RunOutcome(Verdict.NON_TERMINATING, tuple(profile), step + mu + cycle, v, witness)
 
 
 def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
@@ -263,18 +250,18 @@ def _long_run(
     2**n``), stopped also in the closed region ``X`` of the vertices that
     reach no target.  A run kept to the vertices that reach a target
     arrives (Dohrau et al.), so no state outside ``X`` repeats and the
-    run needs no cycle checks: a ``4n``-step phase ends short runs, and
-    the rest of the run is :func:`_stopped_run`'s.
+    run needs no cycle checks: a ``4n``-step phase (:func:`_step`) ends
+    short runs, and the rest of the run is :func:`_stopped_run`'s.
 
     Returns the steps, vertex and profile where the run stopped, and a
-    step at or before the first repeat from which it is sought: the step
-    the stopped run entered ``X`` at, 0 when the phase ended in ``X``, and
-    None when the run cannot repeat (at a target, or at a budget stop
-    outside ``X``)."""
+    step at or before the first repeat, from which :func:`_first_repeat`
+    seeks it: the step the stopped run entered ``X`` at, 0 when the phase
+    ended in ``X``, and None when the run cannot repeat (at a target, or
+    at a budget stop outside ``X``)."""
     n = g.n
     heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
     phase = 4 * n if budget is None else min(4 * n, budget)
-    steps, v = _step(heads, start, nxt, profile, targets, phase, None)[:2]
+    steps, v = _step(heads, start, nxt, profile, targets, phase)
     if v in targets:
         return steps, v, profile, None
     x = set(range(n))
@@ -308,7 +295,7 @@ def _stopped_run(
     heads = g.heads()
     if prefix is None:
         nxt, profile = _departures(n, switches), [0] * (2 * n)
-        steps, v = _step(heads, start, nxt, profile, stops, min(4 * n, budget), None)[:2]
+        steps, v = _step(heads, start, nxt, profile, stops, min(4 * n, budget))
     else:
         steps, v, nxt, profile = prefix
     if v not in stops and steps < budget:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -114,6 +116,21 @@ def test_simulate_trace_streams_from_a_replay(tmp_path):
     )
     assert out_path.read_text() == "\n".join(expected) + "\n"
     assert peak < 1 << 20, peak
+
+
+def test_a_closed_pipe_ends_a_trace_quietly(tmp_path):
+    # the reader takes one line of a 32,766-step trace and goes away
+    path = tmp_path / "chain.json"
+    path.write_text(serialize(counter_chain(15)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    command = "import sys; from switchflow.cli import main; sys.exit(main())"
+    argv = [sys.executable, "-c", command, "simulate", "--input", str(path), "--trace"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"step 0: 0 -even-> 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_simulate_reports_cycles(capsys, t3_file):
@@ -403,6 +420,24 @@ def test_json_flag_belongs_to_decide_and_check_only(capsys, t1_file, tmp_path):
         assert "unrecognized arguments: --json" in err, argv
 
 
+def test_check_reports_a_falsification_as_text(capsys, monkeypatch):
+    from switchflow import suite
+
+    run_checks = suite.run_checks
+    monkeypatch.setattr(
+        suite, "run_checks", lambda *args: run_checks(*args, verify=suite._corrupted_verify)
+    )
+    code, out, _ = run_cli(capsys, "check")
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "result: FALSIFIED (prefix-flows)",
+        "  reproduce: --n 2 --seed 17485029721327973432 --model uniform",
+        '  graph: {"n":2,"origin":0,"dest":1,"even":[1,1],"odd":[0,1]}',
+        "  detail: prefix t=1 at vertex 0 failed: FlowCheckReport(conservation_violations="
+        "(ConservationViolation(vertex=2, found=0, required=1),), parity_violations=())",
+    ]
+
+
 def test_check_is_deterministic(capsys):
     first = run_cli(capsys, "check", "--n-max", "6", "--count", "40", "--seed", "3")
     second = run_cli(capsys, "check", "--n-max", "6", "--count", "40", "--seed", "3")
@@ -446,6 +481,13 @@ def test_malformed_graph_is_a_content_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decide", "--input", str(path))
     assert code == 1
     assert "error:" in err
+
+
+def test_a_zero_vertex_count_is_a_content_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n":0,"origin":0,"dest":1,"even":[],"odd":[]}')
+    code, out, err = run_cli(capsys, "decide", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: $.n: vertex count must be positive, found 0\n")
 
 
 def test_duplicate_field_is_a_content_error(capsys, t1_file, tmp_path):

@@ -118,6 +118,44 @@ def test_label_count_must_match():
     assert any("labels" in v for v in validate(g))
 
 
+def test_vertex_count_must_be_an_integer():
+    class Count(int):
+        pass
+
+    assert validate(graph(Count(2), [1, 1], [1, 1], 0, 1)) == []
+    for n in (2.0, True, "2"):
+        g = graph(n, [1, 1], [1, 1], 0, 1)
+        assert validate(g) == [f"n: expected integer, found {n!r}"], n
+        with pytest.raises(ValueError, match="invalid switch graph: n: expected integer"):
+            decide_arrival(g)
+
+
+def test_origin_must_be_an_integer():
+    for origin in (0.0, True, None):
+        g = graph(3, [1, 2, 2], [1, 2, 2], origin, 2)
+        assert validate(g) == [f"origin: expected integer, found {origin!r}"], origin
+        with pytest.raises(ValueError, match="invalid switch graph: origin: expected integer"):
+            decide_arrival(g)
+
+
+def test_dest_must_be_an_integer():
+    for dest in (2.0, False, "2"):
+        g = graph(3, [1, 2, 2], [1, 2, 2], 1, dest)
+        assert validate(g) == [f"dest: expected integer, found {dest!r}"], dest
+        with pytest.raises(ValueError, match="invalid switch graph: dest: expected integer"):
+            require_valid(g)
+
+
+def test_labels_must_be_strings():
+    g = graph(3, [1, 2, 2], [1, 2, 2], 0, 2, labels=["a", 1, b"c"])
+    assert validate(g) == [
+        "labels[1]: expected string, found 1",
+        "labels[2]: expected string, found b'c'",
+    ]
+    with pytest.raises(ValueError, match="invalid switch graph: labels"):
+        require_valid(g)
+
+
 def test_require_valid_raises_with_all_violations():
     g = graph(2, [5, 1], [1, 1], 0, 0)
     with pytest.raises(ValueError, match="invalid switch graph"):
@@ -296,6 +334,9 @@ def test_parse_rejects_invalid_graphs_with_position():
         parse('{"n":2,"origin":0,"dest":0,"even":[1,1],"odd":[1,1]}')
     with pytest.raises(GraphFormatError, match=r"\$\.even\[0\]: successor out of range"):
         parse('{"n":2,"origin":0,"dest":1,"even":[9,1],"odd":[1,1]}')
+    with pytest.raises(GraphFormatError) as caught:
+        parse('{"n":0,"origin":0,"dest":1,"even":[],"odd":[]}')
+    assert str(caught.value) == "$.n: vertex count must be positive, found 0"
 
 
 def test_parse_rejects_bad_labels():

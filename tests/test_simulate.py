@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,24 +216,41 @@ def test_simulate_matches_the_reference_from_any_state():
         assert (outcome, trace) == reference_run(g, budget, **kwargs)
 
 
+def _spy_on_the_cycle_search(monkeypatch) -> list[SimpleNamespace]:
+    """One record per call of the cycle search, seen through its seams:
+    ``left``, its ``budget`` less its ``step``; ``stepped``, the rise of
+    the profile it steps in place; and ``cycle``, the head start its lead
+    token is given (None when no state matched)."""
+    import switchflow.simulate as engine
+
+    searches: list[SimpleNamespace] = []
+    first_repeat, tail = engine._first_repeat, engine._tail
+
+    def search(heads, v, nxt, profile, step, budget):
+        searches.append(record := SimpleNamespace(left=budget - step, cycle=None))
+        before = sum(profile)
+        out = first_repeat(heads, v, nxt, profile, step, budget)
+        record.stepped = sum(profile) - before
+        return out
+
+    def lead(heads, v, nxt, profile, stops, budget):
+        if stops == () and searches:
+            searches[-1].cycle = budget
+        return tail(heads, v, nxt, profile, stops, budget)
+
+    monkeypatch.setattr(engine, "_first_repeat", search)
+    monkeypatch.setattr(engine, "_tail", lead)
+    return searches
+
+
 def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
     # n = 31..100, so switch words are multi-digit integers.  Half the
     # graphs funnel into a small trap and repeat early; budgets sit around
     # each first repeat, where a binding budget stops the run before
     # Brent's anchors match and the repeat is found by stepping on from
-    # the state the budget stopped at.
-    import switchflow.simulate as engine
-
-    returned = []
-    step = engine._step
-
-    def spy(*args):
-        out = step(*args)
-        if args[6:] == ("start",) and out[2] is not None:  # a budget stop recurred
-            returned.append(out)
-        return out
-
-    monkeypatch.setattr(engine, "_step", spy)
+    # the state the budget stopped at: a match after more than ``left``
+    # steps is that state's return.
+    searches = _spy_on_the_cycle_search(monkeypatch)
     continued_to_a_cycle = 0
     rng = random.Random(20261019)
     witnesses = []
@@ -251,9 +269,9 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
             end = full.steps
             budgets |= {end - 1, end, end + 1, rng.randrange(end, 3 * end + 1)}
         for budget in budgets:
-            returned.clear()
+            searches.clear()
             outcome = simulate(g, budget=budget, **kwargs)
-            continued_to_a_cycle += bool(returned)
+            continued_to_a_cycle += any(s.cycle is not None and s.stepped > s.left for s in searches)
             start, switches = kwargs["start"], kwargs["switches"]
             trace = list(replay(g, outcome.steps, start=start, switches=switches))
             assert (outcome, trace) == reference_run(g, budget, **kwargs), (g, kwargs, budget)
@@ -264,19 +282,11 @@ def test_simulate_matches_the_reference_from_any_state_at_large_n(monkeypatch):
 def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
     # A run the budget stops repeats within the budget only if the stopped
     # state recurs within it, so the run steps on at most ``budget`` states
-    # before the first repeat is sought, and none when the stop lies
-    # outside X_d, where no state repeats.  The trapped counter's cycle has
-    # 2**41 - 2 states, so no repeat is sought there.
-    import switchflow.simulate as engine
-
-    calls = []
-    step, first_repeat = engine._step, engine._first_repeat
-    monkeypatch.setattr(
-        engine, "_step", lambda *args: calls.append((args[6:], step(*args))) or calls[-1][1]
-    )
-    monkeypatch.setattr(
-        engine, "_first_repeat", lambda *args: calls.append("repeat") or first_repeat(*args)
-    )
+    # past the stop, and the lead token's head start is the steps the stop
+    # took to recur; none is sought when the stop lies outside X_d, where
+    # no state repeats.  The trapped counter's cycle has 2**41 - 2 states,
+    # so no repeat is sought there.
+    searches = _spy_on_the_cycle_search(monkeypatch)
     rng = random.Random(20261018)
     cases = [(trapped_counter(40), budget) for budget in (1, 1000, 10**4)]
     # trap_chain(12) enters its trap at step 1023 and first repeats at 1025
@@ -287,22 +297,22 @@ def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
         cases += [(g, budget) for budget in (end - 1, end, end + 1, 2 * end)]
     stopped = outside = continued_to_a_cycle = 0
     for g, budget in cases:
-        calls.clear()
+        searches.clear()
         outcome = run(g, budget)
         assert outcome == reference_run(g, budget)[0], (g, budget)
-        matched = any(c != "repeat" and c[0] != ("start",) and c[1][2] is not None for c in calls)
+        matched = any(s.cycle is not None and s.stepped <= s.left for s in searches)
         if matched or outcome.verdict is Verdict.TERMINATED:
             continue  # Brent's anchors matched, or the run ended, within the budget
         stopped += 1
-        ran = calls[:]  # run_prefix below steps too
-        returns = [c[1] for c in ran if c != "repeat" and c[0] == ("start",)]
+        ran = searches[:]  # run_prefix below steps too
         if run_prefix(g, budget).vertex in reverse_reachable(g, g.dest):
-            assert returns == [] and "repeat" not in ran, (g, budget)
+            assert ran == [], (g, budget)
             outside += 1
             continue
-        (steps, _, cycle), = returns
+        (search,) = ran
+        steps, cycle = search.stepped - search.left, search.cycle
         assert steps <= budget, (g, budget)
-        assert ran[-1] == "repeat" if cycle is not None else "repeat" not in ran, (g, budget)
+        assert steps == cycle if cycle is not None else steps == search.left, (g, budget)
         continued_to_a_cycle += cycle is not None
     assert stopped >= 200 and continued_to_a_cycle >= 100, (stopped, continued_to_a_cycle)
     assert outside >= 10, outside

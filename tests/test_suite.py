@@ -8,6 +8,7 @@ import sys
 import textwrap
 
 from switchflow import flows
+from switchflow.graphs import SolverError
 from switchflow.suite import (
     FAMILIES,
     CheckReport,
@@ -69,6 +70,19 @@ def test_failure_reports_carry_a_reproduction_spec():
     from switchflow.graphs import parse
 
     assert parse(report.failure.graph_json) == generate(report.failure.spec)
+
+
+def test_a_solver_error_is_an_internal_failure(monkeypatch):
+    error = SolverError("completion stalled")
+
+    def stalled(*args):
+        raise error
+
+    monkeypatch.setattr(flows, "complete", stalled)
+    report = run_checks(6, 20, 7)
+    assert report.failure.family == "internal"
+    assert report.failure.detail == repr(error)
+    assert report.instances == 1
 
 
 def test_passing_checks_format_no_reports():
