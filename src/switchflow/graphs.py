@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 EVEN = 0
 ODD = 1
@@ -177,20 +177,24 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
     return _Valid(*g)
 
 
-def distances_to(g: SwitchGraph, target: int) -> list[int | None]:
-    """Per vertex: the length of a shortest directed path to ``target``;
+def distances_to(
+    g: SwitchGraph, target: int | Iterable[int], avoid: Container[int] = ()
+) -> list[int | None]:
+    """Per vertex: the length of a shortest directed path to ``target``,
+    or to the nearest of several, that enters no vertex of ``avoid``;
     ``None`` marks the region that can never deliver the token there."""
-    if not 0 <= target < g.n:
-        raise ValueError(f"target out of range ({target} not in 0..{g.n - 1})")
-    preds = g.predecessor_slots()
+    frontier = [target] if isinstance(target, int) else list(target)
     dist: list[int | None] = [None] * g.n
-    dist[target] = 0
-    frontier = [target]
+    for t in frontier:
+        if not 0 <= t < g.n:
+            raise ValueError(f"target out of range ({t} not in 0..{g.n - 1})")
+        dist[t] = 0
+    preds = g.predecessor_slots()
     for w in frontier:  # breadth first: the list grows as it is read
         d = dist[w] + 1  # type: ignore[operator]
         for si in preds[w]:
             v = si // 2
-            if dist[v] is None:
+            if dist[v] is None and v not in avoid:
                 dist[v] = d
                 frontier.append(v)
     return dist
@@ -289,7 +293,8 @@ def parse(text: str) -> SwitchGraph:
 
 
 def serialize(g: SwitchGraph) -> str:
-    """Byte-deterministic JSON: fixed key order, no whitespace."""
+    """Byte-deterministic JSON: fixed key order, no whitespace; invalid graphs raise ValueError."""
+    g = require_valid(g)
     doc: dict = {
         "n": g.n,
         "origin": g.origin,
@@ -306,7 +311,8 @@ def to_dot(g: SwitchGraph) -> str:
     """DOT export with one edge line per slot, tagged with its parity.
 
     Labels are quoted with backslashes and double quotes escaped, so any
-    label stays inside its node's attribute list."""
+    label stays inside its node's attribute list; invalid graphs raise ValueError."""
+    g = require_valid(g)
     lines = ["digraph switch_graph {"]
     for v in range(g.n):
         attrs = []

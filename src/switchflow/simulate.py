@@ -22,19 +22,17 @@ of stops, serves :func:`simulate` (and so :func:`run`),
 :func:`decide_arrival`, :func:`run_prefix` (with a budget of ``t``
 steps), the local-search walk and flow completion.  A run kept to the
 vertices that reach a target arrives (Dohrau et al.), so a run that
-never arrives enters the closed region of the vertices that reach none,
-and deciding arrival needs no cycle search: a ``4n``-step phase
-(:func:`_step`) ends short runs, and a longer one is stopped where its
-targets fall out of reach.  Only :func:`simulate` goes on from there,
-and the whole cycle search is :func:`_first_repeat`'s: Brent's cycle
-detection, which keeps one earlier state instead of every visited one,
-so runs need O(n) memory at any ``n``.  When one
+never arrives enters the closed region ``X`` of the vertices that reach
+none.  After a ``4n``-step phase (:func:`_step`), deciding arrival
+stops the run in ``X`` or where ``X`` is out of reach, often at once,
+and :func:`simulate` stops it in ``X``, from where :func:`_first_repeat`
+seeks a repeat by Brent's cycle detection in O(n) memory.  When one
 vertex cuts every cycle of the non-stop vertices, the stopped run is
-computed without stepping: batched passes fire each vertex's whole
-token count at once, a bisection over the feedback vertex's departure
-count finds the run profile, and ``flows.verify`` checks it before it is
-trusted.  Other stopped runs are stepped by their own loop
-(:func:`_tail`), which keeps no step counter and makes no cycle check.
+computed by batched passes that fire each vertex's whole token count
+at once, with a bisection over the feedback vertex's departure count,
+and ``flows.verify`` checks the profile before it is trusted.  Other
+stopped runs are stepped by :func:`_tail`, with no step counter or
+cycle check.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -47,7 +45,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import PARITY_NAMES, SwitchGraph, require_valid, reverse_reachable
+from .graphs import PARITY_NAMES, SwitchGraph, distances_to, require_valid
 
 
 class Verdict(str, Enum):
@@ -237,9 +235,27 @@ def _switch_word(counts: Sequence[int]) -> int:
 
 
 def decide_arrival(g: SwitchGraph) -> bool:
-    """True iff the run from origin reaches the destination."""
+    """True iff the run from origin reaches the destination ``d``: iff it
+    reaches ``d`` before the closed region ``X`` of the vertices that
+    cannot (Dohrau et al.).  After the ``4n`` phase, the run is stopped
+    in ``X`` or at ``d`` or another vertex from which ``X`` is out of reach."""
     g = require_valid(g)
-    return _long_run(g, g.origin, 0, (g.dest,))[1] == g.dest
+    heads, nxt, profile = g.heads(), _departures(g.n, 0), [0] * (2 * g.n)
+    steps, v = _step(heads, g.origin, nxt, profile, (g.dest,), 4 * g.n)
+    if v == g.dest:
+        return True
+    x = _out_of_reach(g, (g.dest,))
+    if v in x:
+        return False
+    safe = _out_of_reach(g, x, (g.dest,))  # d, and where no path into X avoids d
+    if v not in safe:  # the phase entered neither region: it is the run's start
+        v = _stopped_run(g, g.origin, 0, x | safe, prefix=(steps, v, nxt, profile)).final_vertex
+    return v not in x
+
+
+def _out_of_reach(g: SwitchGraph, targets: Iterable[int], avoid: Container[int] = ()) -> set[int]:
+    """The vertices with no path to ``targets`` that enters no vertex of ``avoid``."""
+    return {v for v, k in enumerate(distances_to(g, targets, avoid)) if k is None}
 
 
 def _long_run(
@@ -264,10 +280,8 @@ def _long_run(
     steps, v = _step(heads, start, nxt, profile, targets, phase)
     if v in targets:
         return steps, v, profile, None
-    x = set(range(n))
-    ends = x.intersection(targets)  # a target out of range stops nothing
-    for t in ends:
-        x -= reverse_reachable(g, t)
+    ends = set(range(n)).intersection(targets)  # a target out of range stops nothing
+    x = _out_of_reach(g, ends)
     if v in x:
         return steps, v, profile, 0
     # that region is closed, so the phase is the stopped run's first steps

@@ -16,6 +16,7 @@ from switchflow.graphs import (
     ODD,
     GraphFormatError,
     SwitchGraph,
+    distances_to,
     graph,
     parse,
     require_valid,
@@ -249,6 +250,41 @@ def test_reverse_reachable_rejects_bad_target():
 def test_reverse_reachable_matches_closure_oracle(g, target):
     target %= g.n
     assert reverse_reachable(g, target) == closure_reachable(g, target)
+
+
+def test_distances_to_a_set_avoiding_vertices_match_a_fixed_point():
+    # per vertex, the fewest steps to a target through no avoided vertex,
+    # by relaxation to a fixed point instead of a breadth-first search
+    rng = random.Random(20261110)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(2, 12))
+        targets = rng.sample(range(g.n), rng.randrange(1, min(g.n, 3) + 1))
+        avoid = set(rng.sample(range(g.n), rng.randrange(0, 3)))
+        want: list[int | None] = [0 if v in targets else None for v in range(g.n)]
+        changed = True
+        while changed:
+            changed = False
+            for v in set(range(g.n)) - avoid:
+                heads = [want[w] for w in (g.even[v], g.odd[v]) if want[w] is not None]
+                if heads and (want[v] is None or min(heads) + 1 < want[v]):
+                    want[v], changed = min(heads) + 1, True
+        assert distances_to(g, targets, avoid) == want, (g, targets, avoid)
+        assert distances_to(g, set(targets)) == distances_to(g, targets, ())
+    assert distances_to(T1, 1) == distances_to(T1, [1]) == [1, 0]
+    with pytest.raises(ValueError, match="target out of range"):
+        distances_to(T1, [1, 2])
+
+
+def test_serialize_rejects_an_invalid_graph():
+    # unchecked, it would write "origin":true, which parse rejects
+    with pytest.raises(ValueError, match="origin: expected integer, found True"):
+        serialize(graph(3, [1, 2, 2], [1, 2, 2], True, 2))
+
+
+def test_dot_export_rejects_an_invalid_graph():
+    # unchecked, the integer labels would fail inside the export
+    with pytest.raises(ValueError, match=r"labels\[0\]: expected string, found 1"):
+        to_dot(graph(2, [1, 1], [1, 1], 0, 1, labels=[1, 2]))
 
 
 def test_serialize_is_byte_stable():

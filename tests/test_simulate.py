@@ -432,20 +432,23 @@ def test_batched_answers_pass_verify(monkeypatch):
 
 
 def test_verify_gates_hold_without_asserts():
-    # ``python -O`` strips assert statements; the gates must still raise
+    # ``python -O`` strips assert statements; the gates must still raise.
+    # The trap of trap_chain(64) is in reach, so deciding it runs the
+    # batched pass; running counter_chain(64) does too.
     script = textwrap.dedent(
         """
         import sys
         from switchflow import flows
-        from switchflow.simulate import decide_arrival
-        from helpers import counter_chain
+        from switchflow.simulate import decide_arrival, run
+        from helpers import counter_chain, trap_chain
 
         rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
         flows.verify = lambda *args: rejected
-        try:
-            print(sys.flags.optimize, decide_arrival(counter_chain(64)))
-        except AssertionError as e:
-            print(sys.flags.optimize, "raised", e)
+        for call in (lambda: decide_arrival(trap_chain(64)), lambda: run(counter_chain(64))):
+            try:
+                print(sys.flags.optimize, call())
+            except AssertionError as e:
+                print(sys.flags.optimize, "raised", e)
         """
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -453,7 +456,10 @@ def test_verify_gates_hold_without_asserts():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("1 raised batched run profile failed verification"), result
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2, result
+    for line in lines:
+        assert line.startswith("1 raised batched run profile failed verification"), result
 
 
 def test_decision_of_64_vertex_chains():
@@ -842,6 +848,109 @@ def test_decide_run_and_solve_agree_beyond_30_vertices():
             assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
             ran += 1
     assert ran >= 180, ran
+
+
+def _decision_cases():
+    """Generated graphs at n = 2..59, random and trap-funnelled graphs at
+    n = 8..100, chains that fall into a trap late, trapped counters, and
+    trap chains turned away from the trap, into a counter of ``m``
+    vertices whose last is a destination leading into the trap."""
+    rng = random.Random(20261107)
+    graphs = [
+        generate(GeneratorSpec(n=n, seed=seed, model=model))
+        for n in range(2, 60)
+        for seed in range(20)
+        for model in MODELS
+    ]
+    graphs += [f(rng, n) for n in range(8, 101) for f in (random_graph, random_trap_graph) * 3]
+    graphs += [chain_into_trap(rng, counter_chain(k), t) for k in range(5, 14) for t in (1, 3, 6)]
+    graphs += [chain_into_trap(rng, bouncer_chain(k), t) for k in range(5, 45, 3) for t in (1, 6)]
+    graphs += [trapped_counter(k) for k in range(3, 15)]
+    for n in range(4, 17):
+        top, trap, c = n - 3, n - 2, n - 1
+        g = trap_chain(n)
+        for m in (1, 8):
+            # the trap is in reach through d too, so the run must stop at d
+            # or, for m > 1, short of it, at the counter's first vertex c
+            even, odd = list(g.even[:c]), list(g.odd[:c])
+            even[top], odd[top] = c, trap
+            even += [c] * (m - 1) + [trap]
+            odd += list(range(c + 1, c + m)) + [trap]
+            perm = list(range(c + m))
+            rng.shuffle(perm)
+            graphs.append(relabel(graph(c + m, even, odd, 0, c + m - 1), perm))
+    return graphs
+
+
+def _spy_on_the_decision(monkeypatch) -> tuple[list, list]:
+    """The ``(steps, vertex)`` of each ``4n`` phase, and the vertex each
+    stopped run ends at, as the decision calls them."""
+    import switchflow.simulate as engine
+
+    phases, stopped = [], []
+    step, stopped_run = engine._step, engine._stopped_run
+
+    def phase(*args):
+        phases.append(step(*args))
+        return phases[-1]
+
+    def stop(*args, **kwargs):
+        outcome = stopped_run(*args, **kwargs)
+        stopped.append(outcome.final_vertex)
+        return outcome
+
+    monkeypatch.setattr(engine, "_step", phase)
+    monkeypatch.setattr(engine, "_stopped_run", stop)
+    return phases, stopped
+
+
+def test_decision_agrees_with_the_run_and_the_certificate(monkeypatch):
+    # The decision ends inside the 4n phase, in X after it (the vertices
+    # that cannot reach d), where X is out of reach with no step taken, or
+    # after a run stopped at either region; each ending must occur, and
+    # stopped runs must also end where X fell out of reach, short of d.  A
+    # run left in X is stepped only to a budget, since its cycle may be long.
+    phases, stopped = _spy_on_the_decision(monkeypatch)
+    endings = dict.fromkeys(("phase", "in X", "out of reach", "stopped run"), 0)
+    short_of_d = 0
+    for g in _decision_cases():
+        phases.clear()
+        stopped.clear()
+        terminates = decide_arrival(g)
+        ((_, v),) = phases
+        if v == g.dest:
+            ending = "phase"
+        elif stopped:
+            ending = "stopped run"
+            short_of_d += terminates and stopped[0] != g.dest
+        else:
+            ending = "out of reach" if terminates else "in X"
+        endings[ending] += 1
+        assert len(stopped) <= 1, g
+        outcome = run(g) if terminates else simulate(g, budget=1 << 12)
+        assert (outcome.verdict is Verdict.TERMINATED) == terminates, (g, ending)
+        assert (solve_s_arrival(g).kind == TERMINATION) == terminates, (g, ending)
+    assert min(endings.values()) >= 20 and short_of_d >= 5, (endings, short_of_d)
+
+    # chains with nothing to fall into are decided without a stopped run
+    rng = random.Random(20261108)
+    for family in (counter_chain, bouncer_chain):
+        for n in (*range(2, 40), 64, 100, 128, 256, 512, 1024):
+            phases.clear()
+            stopped.clear()
+            assert decide_arrival(_relabelled(family, n, rng)[0]) is True, (family, n)
+            assert len(phases) == 1 and not stopped, (family, n)
+
+
+def test_decision_of_1024_and_20001_vertex_chains():
+    # runs of 2**1024 - 2 and 20000**2 steps: stepping the second to its
+    # end takes more than a minute
+    rng = random.Random(20261109)
+    for family, n in ((counter_chain, 1024), (bouncer_chain, 20001)):
+        g = _relabelled(family, n, rng)[0]
+        start = time.perf_counter()
+        assert decide_arrival(g) is True
+        assert time.perf_counter() - start < 0.5, (family, n)
 
 
 # -- prefixes: the stopped run to the destination, with a budget of t steps
