@@ -102,25 +102,39 @@ def simulate(
     """Run the token until a target vertex, a repeated state, or the budget.
 
     The run from ``start`` (default: the origin) and the switch word
-    ``switches`` to the first of ``targets`` (default: the destination) is
-    :func:`_long_run`'s.  Only a token it leaves where the targets are out
-    of reach goes on to :func:`_first_repeat`'s cycle search.  That region
-    is closed, so the run repeats no earlier than the step the token
-    entered it at, where the search starts (or at the start, at most
-    ``4n`` steps back).  :func:`replay` replays the outcome's steps.
+    ``switches`` to the first of ``targets`` (default: the destination)
+    takes :func:`decide_arrival`'s steps: the ``4n`` phase, then the
+    stopped run to a target or into the closed region ``X`` of the
+    vertices that reach none.  No state outside ``X`` repeats, so only a
+    token in ``X`` goes on to :func:`_first_repeat`'s cycle search, from
+    the step it entered ``X`` at (or from the start, when the phase ended
+    there).  :func:`replay` replays the outcome's steps.
     """
     g = require_valid(g)
     n, start = g.n, _start(g, start)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     targets = (g.dest,) if targets is None else frozenset(targets)
-    steps, v, profile, entry = _long_run(g, start, switches, targets, budget)
-    if entry is None:
-        verdict = Verdict.TERMINATED if v in targets else Verdict.BUDGET_EXHAUSTED
-        return RunOutcome(verdict, tuple(profile), steps, v)
-    if not entry:  # the phase ended in the region: the search starts at the start
-        v, profile = start, [0] * (2 * n)
-    nxt = _departures(n, switches ^ _switch_word(profile))
+    heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
+    phase = 4 * n if budget is None else min(4 * n, budget)
+    steps, v = _step(heads, start, nxt, profile, targets, phase)
+    if v in targets:
+        return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
+    ends = set(range(n)).intersection(targets)  # a target out of range stops nothing
+    x = _out_of_reach(g, ends)
+    if v in x:
+        v, nxt, profile, steps = start, _departures(n, switches), [0] * (2 * n), 0
+    else:  # X is closed, so the phase is the stopped run's first steps
+        out = _stopped_run(g, start, switches, x | ends, budget, prefix=(steps, v, nxt, profile))
+        v = out.final_vertex
+        if v not in ends and v not in x and budget is None:
+            raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
+        if v not in x:
+            return out
+        steps, profile = out.steps, list(out.profile)
+        nxt = _departures(n, switches ^ _switch_word(profile))
     budget = default_budget(n) if budget is None else budget
-    return _first_repeat(g.heads(), v, nxt, list(profile), entry, budget)
+    return _first_repeat(heads, v, nxt, profile, steps, budget)
 
 
 def _start(g: SwitchGraph, start: int | None) -> int:
@@ -256,41 +270,6 @@ def decide_arrival(g: SwitchGraph) -> bool:
 def _out_of_reach(g: SwitchGraph, targets: Iterable[int], avoid: Container[int] = ()) -> set[int]:
     """The vertices with no path to ``targets`` that enters no vertex of ``avoid``."""
     return {v for v, k in enumerate(distances_to(g, targets, avoid)) if k is None}
-
-
-def _long_run(
-    g: SwitchGraph, start: int, switches: int, targets: Container[int], budget: int | None = None
-) -> tuple[int, int, Sequence[int], int | None]:
-    """The run from ``start`` and the switch word ``switches`` to the
-    first of ``targets``, or its first ``budget`` steps (default ``2n *
-    2**n``), stopped also in the closed region ``X`` of the vertices that
-    reach no target.  A run kept to the vertices that reach a target
-    arrives (Dohrau et al.), so no state outside ``X`` repeats and the
-    run needs no cycle checks: a ``4n``-step phase (:func:`_step`) ends
-    short runs, and the rest of the run is :func:`_stopped_run`'s.
-
-    Returns the steps, vertex and profile where the run stopped, and a
-    step at or before the first repeat, from which :func:`_first_repeat`
-    seeks it: the step the stopped run entered ``X`` at, 0 when the phase
-    ended in ``X``, and None when the run cannot repeat (at a target, or
-    at a budget stop outside ``X``)."""
-    n = g.n
-    heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
-    phase = 4 * n if budget is None else min(4 * n, budget)
-    steps, v = _step(heads, start, nxt, profile, targets, phase)
-    if v in targets:
-        return steps, v, profile, None
-    ends = set(range(n)).intersection(targets)  # a target out of range stops nothing
-    x = _out_of_reach(g, ends)
-    if v in x:
-        return steps, v, profile, 0
-    # that region is closed, so the phase is the stopped run's first steps
-    stops = x | ends
-    stopped = _stopped_run(g, start, switches, stops, budget, prefix=(steps, v, nxt, profile))
-    steps, v = stopped.steps, stopped.final_vertex
-    if v not in stops and budget is None:
-        raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
-    return steps, v, stopped.profile, steps if v in x else None
 
 
 def _stopped_run(

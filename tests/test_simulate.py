@@ -139,6 +139,19 @@ def test_prefix_rejects_negative_steps():
         run_prefix(T1, -1)
 
 
+def test_a_negative_budget_is_rejected():
+    # as run_prefix rejects a negative step count; a budget of 0 stops at the start
+    cases = [(counter_chain(5), -1), (counter_chain(5), -5), (trapped_counter(3), -1)]
+    for g, budget in cases:
+        for call in (lambda: run(g, budget), lambda: simulate(g, budget=budget)):
+            with pytest.raises(ValueError, match=f"^budget must be nonnegative, got {budget}$"):
+                call()
+        for outcome in (run(g, 0), simulate(g, budget=0)):
+            assert (outcome.verdict, outcome.steps, outcome.final_vertex) == (
+                Verdict.BUDGET_EXHAUSTED, 0, g.origin,
+            )
+
+
 def test_decision_matches_the_run():
     assert decide_arrival(T1) is True
     assert decide_arrival(T2) is True
@@ -214,6 +227,42 @@ def test_simulate_matches_the_reference_from_any_state():
         outcome = simulate(g, budget=budget, **kwargs)
         trace = list(replay(g, outcome.steps, start=kwargs["start"], switches=kwargs["switches"]))
         assert (outcome, trace) == reference_run(g, budget, **kwargs)
+
+
+def _spy_on_the_search_start(monkeypatch) -> list[int]:
+    """The step each call of the cycle search starts at: the step the
+    stopped run entered ``X`` at, or 0 when the ``4n`` phase ended there."""
+    import switchflow.simulate as engine
+
+    entries: list[int] = []
+    first_repeat = engine._first_repeat
+    monkeypatch.setattr(
+        engine, "_first_repeat", lambda *args: entries.append(args[4]) or first_repeat(*args)
+    )
+    return entries
+
+
+def test_simulate_matches_the_reference_with_no_target_in_range(monkeypatch):
+    # With no targets, or only targets outside 0..n-1 (which stop nothing),
+    # X is every vertex: the phase ends in it, and the cycle search starts
+    # at the start, at step 0.
+    entries = _spy_on_the_search_start(monkeypatch)
+    rng = random.Random(20261108)
+    compared = 0
+    for n in range(2, 12):
+        for _ in range(15):
+            g = random_graph(rng, n)
+            outside = {n + rng.randrange(3), -1 - rng.randrange(3)}
+            for targets in ((), set(rng.sample(sorted(outside), rng.randrange(1, 3)))):
+                start, switches = rng.randrange(n), rng.getrandbits(n)
+                kwargs = dict(start=start, switches=switches, targets=targets)
+                entries.clear()
+                outcome = simulate(g, **kwargs)
+                trace = list(replay(g, outcome.steps, start=start, switches=switches))
+                assert (outcome, trace) == reference_run(g, **kwargs), (g, kwargs)
+                assert outcome.verdict is Verdict.NON_TERMINATING and entries == [0], (g, kwargs)
+                compared += 1
+    assert compared == 300, compared
 
 
 def _spy_on_the_cycle_search(monkeypatch) -> list[SimpleNamespace]:
@@ -710,24 +759,18 @@ def test_run_matches_the_reference_through_the_stop(monkeypatch):
     # the region X_d that cannot reach it; one stopped in X_d goes on to
     # Brent's search, and its first repeat is sought from the stop.  The
     # oracle keeps every state, so runs longer than 2**16 steps are left out.
-    import switchflow.simulate as engine
-
-    stopped = []
-    long_run = engine._long_run
-    monkeypatch.setattr(
-        engine, "_long_run", lambda *args: stopped.append(long_run(*args)) or stopped[-1]
-    )
+    entries = _spy_on_the_search_start(monkeypatch)
     compared = through_x_d = 0
     for g in _run_cases():
         if simulate(g, budget=1 << 16).verdict is Verdict.BUDGET_EXHAUSTED:
             continue
         expected = reference_run(g)
-        stopped.clear()
+        entries.clear()
         outcome = run(g)
         assert (outcome, list(replay(g, outcome.steps))) == expected, g
         compared += 1
-        (_, _, _, entry), = stopped
-        if entry:  # the step at which the stopped run entered X_d
+        assert len(entries) <= 1, entries
+        if any(entries):  # the step at which the stopped run entered X_d
             assert outcome.verdict is Verdict.NON_TERMINATING
             through_x_d += 1
     assert compared > 1700 and through_x_d >= 100, (compared, through_x_d)
@@ -828,13 +871,12 @@ def test_simulate_matches_the_reference_around_the_stop():
     assert compared >= 3000 and around_t >= 500 and late >= 100, (compared, around_t, late)
 
 
-def test_decide_run_and_solve_agree_beyond_30_vertices():
+def test_decide_run_and_solve_agree_beyond_30_vertices(monkeypatch):
     # A run whose 4n phase already ends in X_d, on a cycle of more than
     # 10**5 states there, is still stepped to its first repeat, so run
     # is not asked for it: about one random graph in six has no vertex
     # that reaches the destination.
-    import switchflow.simulate as engine
-
+    entries = _spy_on_the_search_start(monkeypatch)
     rng = random.Random(20261105)
     ran = 0
     for i in range(200):
@@ -842,9 +884,9 @@ def test_decide_run_and_solve_agree_beyond_30_vertices():
         g = (random_trap_graph if i % 2 else random_graph)(rng, n)
         terminates = decide_arrival(g)
         assert (solve_s_arrival(g).kind == TERMINATION) == terminates, g
+        entries.clear()
         stepped = simulate(g, budget=10**5).verdict is Verdict.BUDGET_EXHAUSTED
-        entry = engine._long_run(g, g.origin, 0, (g.dest,))[3]
-        if not (stepped and entry == 0):  # the phase ended in X_d
+        if not (stepped and entries == [0]):  # the phase ended in X_d
             assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
             ran += 1
     assert ran >= 180, ran
