@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple
 from . import flows as _flows
 from .graphs import SolverError, SwitchGraph
 from .reduction import AugmentedInstance, augment
-from .simulate import _stopped_run, _switch_word, replay
+from .simulate import _integer, _stopped_run, _switch_word, replay
 
 TERMINATION = "termination"
 NON_TERMINATION = "non-termination"
@@ -196,7 +196,7 @@ def walk_localopt(
     plus that run's profile, unless the sum passes the field cap, and
     then the run is replayed to the step that would pass it.
     """
-    limit = inst.default_budget() if budget is None else budget
+    limit = inst.default_budget() if budget is None else _integer(budget, "budget")
     state = inst.reset if start is None else start
     taken = 0
     if start is not None and inst.potential(state) < 0:  # the reset state is valid

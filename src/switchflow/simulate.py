@@ -18,7 +18,7 @@ The engine computes outcomes only.  Traces replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
 
 One stopped run, from any vertex and switch word to the first of a set
-of stops, serves :func:`simulate` (and so :func:`run`),
+of stops, serves :func:`simulate` (also named ``run``),
 :func:`decide_arrival`, :func:`run_prefix` (with a budget of ``t``
 steps), the local-search walk and flow completion.  A run kept to the
 vertices that reach a target arrives (Dohrau et al.), so a run that
@@ -93,11 +93,11 @@ def default_budget(n: int) -> int:
 
 def simulate(
     g: SwitchGraph,
+    budget: int | None = None,
     *,
     start: int | None = None,
     switches: int = 0,
     targets: Iterable[int] | None = None,
-    budget: int | None = None,
 ) -> RunOutcome:
     """Run the token until a target vertex, a repeated state, or the budget.
 
@@ -107,42 +107,50 @@ def simulate(
     stopped run to a target or into the closed region ``X`` of the
     vertices that reach none.  No state outside ``X`` repeats, so only a
     token in ``X`` goes on to :func:`_first_repeat`'s cycle search, from
-    the step it entered ``X`` at (or from the start, when the phase ended
-    there).  :func:`replay` replays the outcome's steps.
+    the step it entered ``X`` at.  ``run`` is this function.  The default
+    budget makes the verdict decisive; :func:`replay` replays the steps.
     """
     g = require_valid(g)
-    n, start = g.n, _start(g, start)
-    if budget is not None and budget < 0:
+    n, start = g.n, _start(g, start, switches)
+    if budget is not None and _integer(budget, "budget") < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    targets = (g.dest,) if targets is None else frozenset(targets)
+    ends = {g.dest} if targets is None else set(range(n)).intersection(targets)
+    cap = default_budget(n) if budget is None else budget
     heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
-    phase = 4 * n if budget is None else min(4 * n, budget)
-    steps, v = _step(heads, start, nxt, profile, targets, phase)
-    if v in targets:
+    steps, v = _step(heads, start, nxt, profile, ends, min(4 * n, cap))
+    if v in ends:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
-    ends = set(range(n)).intersection(targets)  # a target out of range stops nothing
     x = _out_of_reach(g, ends)
-    if v in x:
-        v, nxt, profile, steps = start, _departures(n, switches), [0] * (2 * n), 0
-    else:  # X is closed, so the phase is the stopped run's first steps
-        out = _stopped_run(g, start, switches, x | ends, budget, prefix=(steps, v, nxt, profile))
-        v = out.final_vertex
-        if v not in ends and v not in x and budget is None:
-            raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
-        if v not in x:
-            return out
-        steps, profile = out.steps, list(out.profile)
-        nxt = _departures(n, switches ^ _switch_word(profile))
-    budget = default_budget(n) if budget is None else budget
-    return _first_repeat(heads, v, nxt, profile, steps, budget)
+    prefix = None if v in x else (steps, v, nxt, profile)  # X is closed
+    out = _stopped_run(g, start, switches, x | ends, cap, prefix=prefix)
+    v = out.final_vertex
+    if v not in ends and v not in x and budget is None:
+        raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
+    if v not in x:
+        return out
+    steps, profile = out.steps, list(out.profile)
+    nxt = _departures(n, switches ^ _switch_word(profile))
+    return _first_repeat(heads, v, nxt, profile, steps, cap)
 
 
-def _start(g: SwitchGraph, start: int | None) -> int:
-    """``start``, or the origin when it is None, checked to be a vertex."""
+run = simulate
+
+
+def _start(g: SwitchGraph, start: int | None, switches: int) -> int:
+    """``start`` (default: the origin), checked to be a vertex, and ``switches`` a switch word."""
     start = g.origin if start is None else start
     if not 0 <= start < g.n:
         raise ValueError(f"start out of range ({start} not in 0..{g.n - 1})")
+    if _integer(switches, "switches") >> g.n:  # negative words shift to -1
+        raise ValueError(f"switches out of range ({switches} not in 0..2**{g.n} - 1)")
     return start
+
+
+def _integer(k: int, name: str) -> int:
+    """``k``, checked to be an ``int``, which (as in ``graphs.validate``) no bool is."""
+    if isinstance(k, int) and not isinstance(k, bool):
+        return k
+    raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
 def _departures(n: int, sw: int) -> list[int]:
@@ -219,13 +227,6 @@ def _first_repeat(
     return RunOutcome(Verdict.NON_TERMINATING, tuple(profile), step + mu + cycle, v, witness)
 
 
-def run(g: SwitchGraph, budget: int | None = None) -> RunOutcome:
-    """Simulate the run from the graph's origin to its destination.  The
-    default budget ``2n * 2**n`` exceeds the ``n * 2**n`` states, so
-    without a budget the verdict is always decisive."""
-    return simulate(g, budget=budget)
-
-
 def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
     """The state after exactly ``t`` steps: the stopped run with budget ``t``.
 
@@ -233,7 +234,7 @@ def run_prefix(g: SwitchGraph, t: int) -> PrefixState:
     reaches the destination in fewer than ``t`` steps.
     """
     g = require_valid(g)
-    if t < 0:
+    if _integer(t, "step count") < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     outcome = _stopped_run(g, g.origin, 0, (g.dest,), t)
     if outcome.steps < t:
@@ -283,9 +284,8 @@ def _stopped_run(
     (steps, vertex, table, profile)`` of the run (stepped on in place),
     ends short runs; longer ones are batched (:func:`_multirun`) or
     stepped on by :func:`_tail`."""
-    n = g.n
+    n, heads = g.n, g.heads()
     budget = default_budget(n) if budget is None else budget
-    heads = g.heads()
     if prefix is None:
         nxt, profile = _departures(n, switches), [0] * (2 * n)
         steps, v = _step(heads, start, nxt, profile, stops, min(4 * n, budget))
@@ -477,8 +477,8 @@ def replay(
     origin) and the switch word ``switches``, lazily, ignoring targets:
     the trace of an outcome is the replay of its ``steps``."""
     g = require_valid(g)
-    v, heads, nxt = _start(g, start), g.heads(), _departures(g.n, switches)
-    for step in range(steps):
+    v, heads, nxt = _start(g, start, switches), g.heads(), _departures(g.n, switches)
+    for step in range(_integer(steps, "step count")):
         s = nxt[v]
         nxt[v] = s ^ 1
         yield TraceStep(step, v, s & 1, heads[s])

@@ -4,6 +4,7 @@ against the neighbor/potential iteration), and certificate extraction."""
 from __future__ import annotations
 
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -204,6 +205,16 @@ def test_walk_error_names_the_exhausted_budget():
     with pytest.raises(WalkError, match="the given budget ran out"):
         walk_localopt(INST1, INVALID_STATE, budget=0)
     assert walk_localopt(INST1, T1_SOLUTION, budget=0) == WalkResult(T1_SOLUTION, 0)
+
+
+def test_walk_rejects_a_budget_that_is_no_integer():
+    # an int, never a bool, as graphs.validate types its fields; budget=True
+    # ran one step, and a float failed inside the stopped run
+    for budget in (2.5, 2.0, True, False, "2"):
+        message = f"^budget must be an integer, got {re.escape(repr(budget))}$"
+        for start in (None, T1_SOLUTION):
+            with pytest.raises(ValueError, match=message):
+                walk_localopt(INST1, start, budget)
 
 
 def test_anchored_walk_matches_the_plain_walk():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -112,6 +113,33 @@ def test_simulate_and_replay_check_their_input():
             next(replay(T3, 2, start=start))
     assert simulate(T3, start=2, targets={1}).verdict is Verdict.NON_TERMINATING
     assert list(replay(T3, 1, start=2)) == [TraceStep(0, 2, 0, 2)]
+    # a switch word of T3 has 3 bits; one past them or a negative word
+    # would be read as some other word, and a non-int is none
+    for switches in (8, 1 << 70, -1, -8):
+        message = f"^switches out of range \\({switches} not in 0..2\\*\\*3 - 1\\)$"
+        with pytest.raises(ValueError, match=message):
+            simulate(T3, switches=switches)
+        with pytest.raises(ValueError, match=message):
+            next(replay(T3, 2, switches=switches))
+    for switches in (True, 1.0, "1", None):
+        message = f"^switches must be an integer, got {re.escape(repr(switches))}$"
+        with pytest.raises(ValueError, match=message):
+            run(T3, switches=switches)
+        with pytest.raises(ValueError, match=message):
+            next(replay(T3, 2, switches=switches))
+    assert simulate(T3, switches=7).verdict is Verdict.NON_TERMINATING
+    assert list(replay(T3, 1, switches=7)) == [TraceStep(0, 0, 1, 1)]
+    # step counts are ints too, never bools, as in graphs.validate
+    for count in (2.5, 1.0, True, False, "3"):
+        message = f"must be an integer, got {re.escape(repr(count))}$"
+        for call in (
+            lambda: simulate(T3, budget=count),
+            lambda: run(T3, count),
+            lambda: run_prefix(T3, count),
+            lambda: list(replay(T3, count)),
+        ):
+            with pytest.raises(ValueError, match=f"^(budget|step count) {message}"):
+                call()
 
 
 def test_prefix_of_zero_steps_is_the_start_state():
@@ -230,8 +258,8 @@ def test_simulate_matches_the_reference_from_any_state():
 
 
 def _spy_on_the_search_start(monkeypatch) -> list[int]:
-    """The step each call of the cycle search starts at: the step the
-    stopped run entered ``X`` at, or 0 when the ``4n`` phase ended there."""
+    """The step each call of the cycle search starts at: the step the run
+    entered ``X`` at, in the ``4n`` phase or in the stopped run after it."""
     import switchflow.simulate as engine
 
     entries: list[int] = []
@@ -263,6 +291,45 @@ def test_simulate_matches_the_reference_with_no_target_in_range(monkeypatch):
                 assert outcome.verdict is Verdict.NON_TERMINATING and entries == [0], (g, kwargs)
                 compared += 1
     assert compared == 300, compared
+
+
+def test_the_cycle_search_starts_where_the_run_enters_x(monkeypatch):
+    # The search starts at the first step at which the run is in X, the
+    # closed region of the vertices that reach no target, also when the
+    # 4n phase already ended there: trapped_counter(k) enters X at step 1,
+    # and random and trap-funnelled runs from random states at some step
+    # of their phase.  The reference trace shows where the run enters X.
+    entries = _spy_on_the_search_start(monkeypatch)
+    rng = random.Random(20261120)
+    cases = [(trapped_counter(k), {}) for k in range(2, 15)]
+    for n in range(8, 41):
+        for make in (random_graph, random_trap_graph) * 12:
+            g = make(rng, n)
+            targets = set(rng.sample(range(n), rng.randrange(1, 3)))
+            reach = sorted(set().union(*(reverse_reachable(g, t) for t in targets)))
+            kwargs = dict(start=rng.choice(reach), switches=rng.getrandbits(n), targets=targets)
+            cases.append((g, rng.choice([{}, kwargs])))  # a random start reaches a target
+    searched = in_phase = after_step_0 = 0
+    for g, kwargs in cases:
+        if simulate(g, budget=1 << 16, **kwargs).verdict is Verdict.BUDGET_EXHAUSTED:
+            continue  # the oracle keeps every state
+        targets = kwargs.get("targets", {g.dest})
+        x = set(range(g.n)).difference(*(reverse_reachable(g, t) for t in targets))
+        entries.clear()
+        outcome = simulate(g, **kwargs)
+        start, switches = kwargs.get("start"), kwargs.get("switches", 0)
+        trace = list(replay(g, outcome.steps, start=start, switches=switches))
+        assert (outcome, trace) == reference_run(g, **kwargs), (g, kwargs)
+        path = [g.origin if start is None else start] + [step.head for step in trace]
+        entered = next((t for t, v in enumerate(path) if v in x), None)
+        if entered is None:
+            assert entries == [] and outcome.verdict is Verdict.TERMINATED, (g, kwargs)
+            continue
+        assert entries == [entered] and outcome.verdict is Verdict.NON_TERMINATING, (g, kwargs)
+        searched += 1
+        in_phase += entered <= 4 * g.n
+        after_step_0 += 0 < entered <= 4 * g.n
+    assert in_phase >= 250 and after_step_0 >= 100, (searched, in_phase, after_step_0)
 
 
 def _spy_on_the_cycle_search(monkeypatch) -> list[SimpleNamespace]:
@@ -886,7 +953,7 @@ def test_decide_run_and_solve_agree_beyond_30_vertices(monkeypatch):
         assert (solve_s_arrival(g).kind == TERMINATION) == terminates, g
         entries.clear()
         stepped = simulate(g, budget=10**5).verdict is Verdict.BUDGET_EXHAUSTED
-        if not (stepped and entries == [0]):  # the phase ended in X_d
+        if not (stepped and entries and entries[0] <= 4 * g.n):  # the phase ended in X_d
             assert (run(g).verdict is Verdict.TERMINATED) == terminates, g
             ran += 1
     assert ran >= 180, ran
