@@ -5,14 +5,15 @@ even successor.  Each step departs the current vertex through the slot
 its switch points at, toggles that switch, and moves to the slot's head.
 The run terminates when the destination is reached.
 
-Switch positions live in a slot table, per vertex the slot (``2v`` or
-``2v + 1``) it departs through next: a step counts that slot, flips the
-entry to its sibling and moves to the slot's head, so no step builds an
-integer wider than a slot index, and the graph is never mutated.  The
-public records give the table as a switch word, bit ``v`` set where
-``v`` departs odd next.  A full simulation state is the pair (vertex,
-table) and the state space has size ``n * 2**n``, so either the
-destination is reached or some state repeats.
+The ``4n``-step phase that ends most runs (:func:`_step`) steps on the
+graph's own successor tuples with the profile as its state: a vertex
+departs even next exactly when its even and odd counts are equal.  Only
+a run that outlives the phase builds a slot table, per vertex the slot
+(``2v`` or ``2v + 1``) it departs through next.  The graph is never
+mutated.  The public records give switch positions as a switch word,
+bit ``v`` set where ``v`` departs odd next.  A full simulation state is
+the pair (vertex, switch word) and the state space has size
+``n * 2**n``, so either the destination is reached or some state repeats.
 
 The engine computes outcomes only.  Traces replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
@@ -23,7 +24,7 @@ of stops, serves :func:`simulate` (also named ``run``),
 steps), the local-search walk and flow completion.  A run kept to the
 vertices that reach a target arrives (Dohrau et al.), so a run that
 never arrives enters the closed region ``X`` of the vertices that reach
-none.  After a ``4n``-step phase (:func:`_step`), deciding arrival
+none.  After the ``4n``-step phase, deciding arrival
 stops the run in ``X`` or where ``X`` is out of reach, often at once,
 and :func:`simulate` stops it in ``X``, from where :func:`_first_repeat`
 seeks a repeat by Brent's cycle detection in O(n) memory.  When one
@@ -43,6 +44,7 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from itertools import repeat
+from operator import add, sub
 from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import PARITY_NAMES, SwitchGraph, distances_to, require_valid
@@ -114,23 +116,22 @@ def simulate(
     n, start = g.n, _start(g, start, switches)
     if budget is not None and _integer(budget, "budget") < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    ends = {g.dest} if targets is None else set(range(n)).intersection(targets)
+    # a target out of range names no vertex, so it stops nothing
+    ends = {g.dest} if targets is None else {t for t in targets if 0 <= _integer(t, "a target") < n}
     cap = default_budget(n) if budget is None else budget
-    heads, nxt, profile = g.heads(), _departures(n, switches), [0] * (2 * n)
-    steps, v = _step(heads, start, nxt, profile, ends, min(4 * n, cap))
+    steps, v, profile = _step(g, start, switches, ends, min(4 * n, cap))
     if v in ends:
         return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
     x = _out_of_reach(g, ends)
-    prefix = None if v in x else (steps, v, nxt, profile)  # X is closed
+    prefix = None if v in x else (steps, v, profile)  # X is closed
     out = _stopped_run(g, start, switches, x | ends, cap, prefix=prefix)
     v = out.final_vertex
     if v not in ends and v not in x and budget is None:
         raise AssertionError(f"the stopped run ended at {v}, not at a stop; indicates a bug")
     if v not in x:
         return out
-    steps, profile = out.steps, list(out.profile)
-    nxt = _departures(n, switches ^ _switch_word(profile))
-    return _first_repeat(heads, v, nxt, profile, steps, cap)
+    profile = list(out.profile)
+    return _first_repeat(g.heads(), v, _departures(n, switches, profile), profile, out.steps, cap)
 
 
 run = simulate
@@ -138,7 +139,7 @@ run = simulate
 
 def _start(g: SwitchGraph, start: int | None, switches: int) -> int:
     """``start`` (default: the origin), checked to be a vertex, and ``switches`` a switch word."""
-    start = g.origin if start is None else start
+    start = g.origin if start is None else _integer(start, "start")
     if not 0 <= start < g.n:
         raise ValueError(f"start out of range ({start} not in 0..{g.n - 1})")
     if _integer(switches, "switches") >> g.n:  # negative words shift to -1
@@ -153,25 +154,45 @@ def _integer(k: int, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
-def _departures(n: int, sw: int) -> list[int]:
-    """The slot table of the switch word ``sw``; bits from ``n`` up are unused."""
-    return [2 * v + (sw >> v & 1) for v in range(n)] if sw else list(range(0, 2 * n, 2))
+def _departures(n: int, sw: int, counts: Sequence[int] = ()) -> list[int]:
+    """The slot table of the switch word ``sw`` after the departures ``counts``
+    (default none): ``2v``, ``v``'s bit and its even less its odd count."""
+    nxt = [2 * v + (sw >> v & 1) for v in range(n)] if sw else list(range(0, 2 * n, 2))
+    return list(map(add, nxt, map(sub, counts[0::2], counts[1::2]))) if counts else nxt
 
 
 def _step(
-    heads: list[int], v: int, nxt: list[int], profile: list[int], stops: Container[int], budget: int
-) -> tuple[int, int]:
-    """The ``4n``-step phase: step the token from vertex ``v`` and slot
-    table ``nxt`` (in place), counting departures into ``profile``, until
-    one of ``stops`` or ``budget`` steps; returns the steps and vertex."""
+    g: SwitchGraph, v: int, switches: int, stops: Container[int], budget: int
+) -> tuple[int, int, list[int]]:
+    """The ``4n``-step phase: the run from vertex ``v`` and the switch word
+    ``switches`` to the first of ``stops`` or ``budget`` steps; returns the
+    steps, the vertex and the profile.  It steps on ``g.even`` and
+    ``g.odd`` with the profile as its state and builds no slot table; a
+    preset bit swaps its vertex's successors, and after the phase its counts."""
+    even, odd, profile, preset = g.even, g.odd, [0] * (2 * g.n), []
+    if switches:
+        even, odd = list(even), list(odd)
+        while switches:  # its set bits, lowest first
+            u = (switches & -switches).bit_length() - 1
+            even[u], odd[u] = odd[u], even[u]
+            preset.append(u)
+            switches &= switches - 1
     for steps in range(budget):
         if v in stops:
-            return steps, v
-        s = nxt[v]
-        profile[s] += 1
-        nxt[v] = s ^ 1
-        v = heads[s]
-    return budget, v
+            break
+        e = v + v
+        k = profile[e]
+        if k == profile[e + 1]:
+            profile[e] = k + 1
+            v = even[v]
+        else:  # the odd count is k - 1
+            profile[e + 1] = k
+            v = odd[v]
+    else:
+        steps = budget
+    for u in preset:
+        profile[2 * u], profile[2 * u + 1] = profile[2 * u + 1], profile[2 * u]
+    return steps, v, profile
 
 
 def _first_repeat(
@@ -255,16 +276,16 @@ def decide_arrival(g: SwitchGraph) -> bool:
     cannot (Dohrau et al.).  After the ``4n`` phase, the run is stopped
     in ``X`` or at ``d`` or another vertex from which ``X`` is out of reach."""
     g = require_valid(g)
-    heads, nxt, profile = g.heads(), _departures(g.n, 0), [0] * (2 * g.n)
-    steps, v = _step(heads, g.origin, nxt, profile, (g.dest,), 4 * g.n)
+    prefix = _step(g, g.origin, 0, (g.dest,), 4 * g.n)
+    v = prefix[1]
     if v == g.dest:
         return True
     x = _out_of_reach(g, (g.dest,))
-    if v in x:
-        return False
+    if not x or v in x:  # every vertex reaches d, or the run is in X
+        return not x
     safe = _out_of_reach(g, x, (g.dest,))  # d, and where no path into X avoids d
     if v not in safe:  # the phase entered neither region: it is the run's start
-        v = _stopped_run(g, g.origin, 0, x | safe, prefix=(steps, v, nxt, profile)).final_vertex
+        v = _stopped_run(g, g.origin, 0, x | safe, prefix=prefix).final_vertex
     return v not in x
 
 
@@ -280,22 +301,20 @@ def _stopped_run(
     """The run from ``start`` and the switch word ``switches`` to the first
     of ``stops``, or its first ``budget`` steps (default ``2n * 2**n``),
     without cycle checks: a run toward stops that every vertex reaches
-    repeats no state.  A ``4n``-step phase, or a caller's ``prefix =
-    (steps, vertex, table, profile)`` of the run (stepped on in place),
-    ends short runs; longer ones are batched (:func:`_multirun`) or
-    stepped on by :func:`_tail`."""
-    n, heads = g.n, g.heads()
+    repeats no state.  The ``4n``-step phase (:func:`_step`), or a
+    caller's ``prefix = (steps, vertex, profile)`` of the run (stepped on
+    in place), ends short runs; longer ones are batched
+    (:func:`_multirun`) or stepped on by :func:`_tail`, from a slot table
+    built only then."""
+    n = g.n
     budget = default_budget(n) if budget is None else budget
-    if prefix is None:
-        nxt, profile = _departures(n, switches), [0] * (2 * n)
-        steps, v = _step(heads, start, nxt, profile, stops, min(4 * n, budget))
-    else:
-        steps, v, nxt, profile = prefix
+    steps, v, profile = prefix or _step(g, start, switches, stops, min(4 * n, budget))
     if v not in stops and steps < budget:
         batched = _multirun(g, stops, start, switches, profile)
         if batched is not None and batched.steps <= budget:
             return batched
-        more, v = _tail(heads, v, nxt, profile, stops, budget - steps)
+        nxt = _departures(n, switches, profile)
+        more, v = _tail(g.heads(), v, nxt, profile, stops, budget - steps)
         steps += more
     verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED
     return RunOutcome(verdict, tuple(profile), steps, v)

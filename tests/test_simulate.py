@@ -142,6 +142,61 @@ def test_simulate_and_replay_check_their_input():
                 call()
 
 
+def test_start_and_targets_must_be_integers():
+    # a float start would index the engine's lists and a bool would read
+    # as a vertex; so would a float or bool target, and a string of
+    # targets would stop nothing
+    for start in (1.0, True, False, "1"):
+        message = f"^start must be an integer, got {re.escape(repr(start))}$"
+        with pytest.raises(ValueError, match=message):
+            simulate(T3, start=start)
+        with pytest.raises(ValueError, match=message):
+            next(replay(T3, 2, start=start))
+    for targets, bad in (([1.0], 1.0), ([True], True), ("ab", "a"), ([2, None], None)):
+        message = f"^a target must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            simulate(T3, targets=targets)
+        with pytest.raises(ValueError, match=message):
+            run(T3, 5, targets=targets)
+    # an int target out of range names no vertex and stops nothing
+    assert simulate(T3, targets=[3, -1]) == simulate(T3, targets=()) == run(T3, targets=[])
+    assert simulate(T3, targets=[1, 3]).steps == 1
+
+
+def test_the_phase_and_its_hand_off_match_the_replay():
+    # The 4n phase steps on the graph's successor tuples with the profile
+    # as its state, and swaps a preset bit's successors.  At every budget
+    # its steps, vertex and profile must be the replay's up to the first
+    # stop, and the slot table built from them where a run outlives the
+    # phase must point where the replay's switches do: past each vertex's
+    # last departure, or at its preset bit where it has not departed.
+    import switchflow.simulate as engine
+
+    rng = random.Random(20261021)
+    compared = preset = stopped = 0
+    for n in range(2, 13):
+        for _ in range(12):
+            g = random_graph(rng, n)
+            start, switches = rng.randrange(n), rng.choice((0, rng.getrandbits(n)))
+            stops = set(rng.sample(range(n), rng.randrange(3)))
+            trace = list(replay(g, 4 * n, start=start, switches=switches))
+            at = [start] + [step.head for step in trace]
+            for budget in range(4 * n + 1):
+                steps = next((i for i in range(budget) if at[i] in stops), budget)
+                profile = [0] * (2 * n)
+                table = [2 * u + (switches >> u & 1) for u in range(n)]
+                for step in trace[:steps]:
+                    profile[2 * step.tail + step.parity] += 1
+                    table[step.tail] = 2 * step.tail + 1 - step.parity
+                got = engine._step(g, start, switches, stops, budget)
+                assert got == (steps, at[steps], profile), (g, start, switches, stops, budget)
+                assert engine._departures(n, switches, got[2]) == table, (g, switches, budget)
+                compared += 1
+                preset += switches != 0
+                stopped += steps < budget
+    assert compared > 3000 and preset > 1000 and stopped > 1000, (compared, preset, stopped)
+
+
 def test_prefix_of_zero_steps_is_the_start_state():
     for g in (T1, T2, T3):
         assert run_prefix(g, 0) == (g.origin, (0,) * (2 * g.n), 0)
@@ -1000,8 +1055,9 @@ def _spy_on_the_decision(monkeypatch) -> tuple[list, list]:
     step, stopped_run = engine._step, engine._stopped_run
 
     def phase(*args):
-        phases.append(step(*args))
-        return phases[-1]
+        steps, v, profile = step(*args)
+        phases.append((steps, v))
+        return steps, v, profile
 
     def stop(*args, **kwargs):
         outcome = stopped_run(*args, **kwargs)
@@ -1049,6 +1105,31 @@ def test_decision_agrees_with_the_run_and_the_certificate(monkeypatch):
             stopped.clear()
             assert decide_arrival(_relabelled(family, n, rng)[0]) is True, (family, n)
             assert len(phases) == 1 and not stopped, (family, n)
+
+
+def test_decision_searches_once_where_every_vertex_reaches_d(monkeypatch):
+    # Where X, the vertices that cannot reach d, is empty, the run arrives:
+    # a decision whose phase ends short of d answers after the one reverse
+    # search that finds X empty, with no second search for the safe region.
+    import switchflow.simulate as engine
+
+    searches = []
+    out_of_reach = engine._out_of_reach
+    monkeypatch.setattr(
+        engine, "_out_of_reach", lambda *args: searches.append(args) or out_of_reach(*args)
+    )
+    rng = random.Random(20261022)
+    chains = [counter_chain(k) for k in range(5, 14)] + [bouncer_chain(k) for k in (7, 30, 91)]
+    chains += [_relabelled(counter_chain, k, rng)[0] for k in range(5, 14)]
+    chains += [_relabelled(bouncer_chain, k, rng)[0] for k in (7, 30, 91)]
+    for g in chains:
+        searches.clear()
+        assert decide_arrival(g) is True
+        assert searches == [(g, (g.dest,))], g
+    # a chain that falls into a trap after the phase still takes both
+    searches.clear()
+    assert decide_arrival(chain_into_trap(rng, counter_chain(8), 3)) is False
+    assert len(searches) == 2
 
 
 def test_decision_of_1024_and_20001_vertex_chains():
