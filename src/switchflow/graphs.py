@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple, Sequence
 
 EVEN = 0
 ODD = 1
@@ -80,9 +80,7 @@ class SwitchGraph(NamedTuple):
 
     def heads(self) -> list[int]:
         """The head of every slot, in slot order."""
-        heads = [0] * (2 * self.n)
-        heads[0::2], heads[1::2] = self.even, self.odd
-        return heads
+        return slot_order(self.even, self.odd)
 
     def predecessor_slots(self) -> list[list[int]]:
         """For each vertex, the slot indices whose head it is."""
@@ -92,6 +90,13 @@ class SwitchGraph(NamedTuple):
             preds[even[v]].append(2 * v + EVEN)
             preds[odd[v]].append(2 * v + ODD)
         return preds
+
+
+def slot_order(even: Sequence[int], odd: Sequence[int]) -> list[int]:
+    """Per-vertex ``even`` and ``odd`` entries as one list in slot order."""
+    slots = [0] * (2 * len(even))
+    slots[0::2], slots[1::2] = even, odd
+    return slots
 
 
 class _Valid(SwitchGraph):

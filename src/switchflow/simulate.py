@@ -6,14 +6,13 @@ its switch points at, toggles that switch, and moves to the slot's head.
 The run terminates when the destination is reached.
 
 The ``4n``-step phase that ends most runs (:func:`_step`) steps on the
-graph's own successor tuples with the profile as its state: a vertex
-departs even next exactly when its even and odd counts are equal.  Only
-a run that outlives the phase builds a slot table, per vertex the slot
-(``2v`` or ``2v + 1``) it departs through next.  The graph is never
-mutated.  The public records give switch positions as a switch word,
-bit ``v`` set where ``v`` departs odd next.  A full simulation state is
-the pair (vertex, switch word) and the state space has size
-``n * 2**n``, so either the destination is reached or some state repeats.
+graph's own successor tuples, with the even and odd departure counts as
+its state: a vertex departs even next exactly when they are equal.  A
+run that outlives the phase builds a slot table, per vertex the slot
+(``2v`` or ``2v + 1``) it departs through next; the graph is never
+mutated.  Records give switch positions as a switch word, bit ``v`` set
+where ``v`` departs odd next.  A full state is the pair (vertex, switch
+word), one of ``n * 2**n``, so the destination is reached or one repeats.
 
 The engine computes outcomes only.  Traces replay the run
 (:func:`replay`) one step at a time after it ends, in O(n) memory too.
@@ -47,7 +46,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import PARITY_NAMES, SwitchGraph, distances_to, require_valid
+from .graphs import PARITY_NAMES, SwitchGraph, distances_to, require_valid, slot_order
 
 
 class Verdict(str, Enum):
@@ -119,11 +118,11 @@ def simulate(
     # a target out of range names no vertex, so it stops nothing
     ends = {g.dest} if targets is None else {t for t in targets if 0 <= _integer(t, "a target") < n}
     cap = default_budget(n) if budget is None else budget
-    steps, v, profile = _step(g, start, switches, ends, min(4 * n, cap))
+    steps, v, evens, odds = _step(g, start, switches, ends, min(4 * n, cap))
     if v in ends:
-        return RunOutcome(Verdict.TERMINATED, tuple(profile), steps, v)
+        return RunOutcome(Verdict.TERMINATED, tuple(slot_order(evens, odds)), steps, v)
     x = _out_of_reach(g, ends)
-    prefix = None if v in x else (steps, v, profile)  # X is closed
+    prefix = None if v in x else (steps, v, evens, odds)  # X is closed
     out = _stopped_run(g, start, switches, x | ends, cap, prefix=prefix)
     v = out.final_vertex
     if v not in ends and v not in x and budget is None:
@@ -131,7 +130,8 @@ def simulate(
     if v not in x:
         return out
     profile = list(out.profile)
-    return _first_repeat(g.heads(), v, _departures(n, switches, profile), profile, out.steps, cap)
+    nxt = _departures(n, switches, profile[0::2], profile[1::2])
+    return _first_repeat(g.heads(), v, nxt, profile, out.steps, cap)
 
 
 run = simulate
@@ -154,45 +154,41 @@ def _integer(k: int, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
-def _departures(n: int, sw: int, counts: Sequence[int] = ()) -> list[int]:
-    """The slot table of the switch word ``sw`` after the departures ``counts``
-    (default none): ``2v``, ``v``'s bit and its even less its odd count."""
-    nxt = [2 * v + (sw >> v & 1) for v in range(n)] if sw else list(range(0, 2 * n, 2))
-    return list(map(add, nxt, map(sub, counts[0::2], counts[1::2]))) if counts else nxt
+def _departures(n: int, sw: int, evens: Sequence[int] = (), odds: Sequence[int] = ()) -> list[int]:
+    """The slot table of the switch word ``sw`` after ``evens``/``odds`` departures."""
+    nxt = [2 * v + (sw >> v & 1) for v in range(n)] if sw else range(0, 2 * n, 2)
+    return list(map(add, nxt, map(sub, evens, odds))) if evens else list(nxt)
 
 
 def _step(
     g: SwitchGraph, v: int, switches: int, stops: Container[int], budget: int
-) -> tuple[int, int, list[int]]:
+) -> tuple[int, int, list[int], list[int]]:
     """The ``4n``-step phase: the run from vertex ``v`` and the switch word
     ``switches`` to the first of ``stops`` or ``budget`` steps; returns the
-    steps, the vertex and the profile.  It steps on ``g.even`` and
-    ``g.odd`` with the profile as its state and builds no slot table; a
-    preset bit swaps its vertex's successors, and after the phase its counts."""
-    even, odd, profile, preset = g.even, g.odd, [0] * (2 * g.n), []
-    if switches:
-        even, odd = list(even), list(odd)
-        while switches:  # its set bits, lowest first
-            u = (switches & -switches).bit_length() - 1
-            even[u], odd[u] = odd[u], even[u]
-            preset.append(u)
-            switches &= switches - 1
+    steps, the vertex and the even and odd departures per vertex.  Those
+    counts are its state, and it steps on ``g.even`` and ``g.odd``, with
+    no slot table: a vertex departs even next exactly when they are equal."""
+    even, odd, evens, odds, preset = g.even, g.odd, [0] * g.n, [0] * g.n, []
+    while switches:  # a preset bit reads as an even departure already made
+        u = (switches & -switches).bit_length() - 1
+        evens[u] = 1
+        preset.append(u)
+        switches &= switches - 1
     for steps in range(budget):
         if v in stops:
             break
-        e = v + v
-        k = profile[e]
-        if k == profile[e + 1]:
-            profile[e] = k + 1
+        k = evens[v]
+        if k == odds[v]:
+            evens[v] = k + 1
             v = even[v]
         else:  # the odd count is k - 1
-            profile[e + 1] = k
+            odds[v] = k
             v = odd[v]
     else:
         steps = budget
     for u in preset:
-        profile[2 * u], profile[2 * u + 1] = profile[2 * u + 1], profile[2 * u]
-    return steps, v, profile
+        evens[u] -= 1
+    return steps, v, evens, odds
 
 
 def _first_repeat(
@@ -302,18 +298,18 @@ def _stopped_run(
     of ``stops``, or its first ``budget`` steps (default ``2n * 2**n``),
     without cycle checks: a run toward stops that every vertex reaches
     repeats no state.  The ``4n``-step phase (:func:`_step`), or a
-    caller's ``prefix = (steps, vertex, profile)`` of the run (stepped on
-    in place), ends short runs; longer ones are batched
-    (:func:`_multirun`) or stepped on by :func:`_tail`, from a slot table
-    built only then."""
+    caller's ``prefix = (steps, vertex, evens, odds)`` of the run, ends
+    short runs; longer ones are batched (:func:`_multirun`) or stepped
+    on by :func:`_tail`, from a slot table built only then."""
     n = g.n
     budget = default_budget(n) if budget is None else budget
-    steps, v, profile = prefix or _step(g, start, switches, stops, min(4 * n, budget))
+    steps, v, evens, odds = prefix or _step(g, start, switches, stops, min(4 * n, budget))
+    profile = slot_order(evens, odds)
     if v not in stops and steps < budget:
         batched = _multirun(g, stops, start, switches, profile)
         if batched is not None and batched.steps <= budget:
             return batched
-        nxt = _departures(n, switches, profile)
+        nxt = _departures(n, switches, evens, odds)
         more, v = _tail(g.heads(), v, nxt, profile, stops, budget - steps)
         steps += more
     verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED

@@ -164,12 +164,13 @@ def test_start_and_targets_must_be_integers():
 
 
 def test_the_phase_and_its_hand_off_match_the_replay():
-    # The 4n phase steps on the graph's successor tuples with the profile
-    # as its state, and swaps a preset bit's successors.  At every budget
-    # its steps, vertex and profile must be the replay's up to the first
-    # stop, and the slot table built from them where a run outlives the
-    # phase must point where the replay's switches do: past each vertex's
-    # last departure, or at its preset bit where it has not departed.
+    # The 4n phase steps on the graph's successor tuples with the even and
+    # odd departure counts as its state, a preset bit read as one even
+    # departure made.  At every budget its steps, vertex and profile must
+    # be the replay's up to the first stop, and the slot table built from
+    # them where a run outlives the phase must point where the replay's
+    # switches do: past each vertex's last departure, or at its preset bit
+    # where it has not departed.
     import switchflow.simulate as engine
 
     rng = random.Random(20261021)
@@ -189,8 +190,9 @@ def test_the_phase_and_its_hand_off_match_the_replay():
                     profile[2 * step.tail + step.parity] += 1
                     table[step.tail] = 2 * step.tail + 1 - step.parity
                 got = engine._step(g, start, switches, stops, budget)
-                assert got == (steps, at[steps], profile), (g, start, switches, stops, budget)
-                assert engine._departures(n, switches, got[2]) == table, (g, switches, budget)
+                assert got[:2] == (steps, at[steps]), (g, start, switches, stops, budget)
+                assert engine.slot_order(*got[2:]) == profile, (g, switches, budget)
+                assert engine._departures(n, switches, *got[2:]) == table, (g, switches, budget)
                 compared += 1
                 preset += switches != 0
                 stopped += steps < budget
@@ -1055,9 +1057,9 @@ def _spy_on_the_decision(monkeypatch) -> tuple[list, list]:
     step, stopped_run = engine._step, engine._stopped_run
 
     def phase(*args):
-        steps, v, profile = step(*args)
-        phases.append((steps, v))
-        return steps, v, profile
+        out = step(*args)
+        phases.append(out[:2])
+        return out
 
     def stop(*args, **kwargs):
         outcome = stopped_run(*args, **kwargs)
