@@ -6,6 +6,8 @@ The package splits into layers, importable as submodules:
   and DOT serialization;
 * :mod:`switchflow.simulate` -- deterministic token runs, prefix
   re-simulation, and the termination decision;
+* :mod:`switchflow.condensation` -- the strongly connected components
+  that long runs and the decision go down;
 * :mod:`switchflow.reduction` -- the origin/destination augmentation
   whose two runs decide termination dually;
 * :mod:`switchflow.flows` -- switching-flow verification, completion of

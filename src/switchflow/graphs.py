@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 EVEN = 0
 ODD = 1
@@ -182,12 +182,11 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
     return _Valid(*g)
 
 
-def distances_to(
-    g: SwitchGraph, target: int | Iterable[int], avoid: Container[int] = ()
-) -> list[int | None]:
+def distances_to(g: SwitchGraph, target: int | Iterable[int]) -> list[int | None]:
     """Per vertex: the length of a shortest directed path to ``target``,
-    or to the nearest of several, that enters no vertex of ``avoid``;
-    ``None`` marks the region that can never deliver the token there."""
+    or to the nearest of several, by one breadth-first search over the
+    predecessor slots; ``None`` marks the region that can never deliver
+    the token there."""
     frontier = [target] if isinstance(target, int) else list(target)
     dist: list[int | None] = [None] * g.n
     for t in frontier:
@@ -199,7 +198,7 @@ def distances_to(
         d = dist[w] + 1  # type: ignore[operator]
         for si in preds[w]:
             v = si // 2
-            if dist[v] is None and v not in avoid:
+            if dist[v] is None:
                 dist[v] = d
                 frontier.append(v)
     return dist

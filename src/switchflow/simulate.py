@@ -19,20 +19,22 @@ The engine computes outcomes only.  Traces replay the run
 
 One stopped run, from any vertex and switch word to the first of a set
 of stops, serves :func:`simulate` (also named ``run``),
-:func:`decide_arrival`, :func:`run_prefix` (with a budget of ``t``
-steps), the local-search walk and flow completion.  A run kept to the
-vertices that reach a target arrives (Dohrau et al.), so a run that
-never arrives enters the closed region ``X`` of the vertices that reach
-none.  After the ``4n``-step phase, deciding arrival
-stops the run in ``X`` or where ``X`` is out of reach, often at once,
-and :func:`simulate` stops it in ``X``, from where :func:`_first_repeat`
-seeks a repeat by Brent's cycle detection in O(n) memory.  When one
-vertex cuts every cycle of the non-stop vertices, the stopped run is
-computed by batched passes that fire each vertex's whole token count
-at once, with a bisection over the feedback vertex's departure count,
-and ``flows.verify`` checks the profile before it is trusted.  Other
-stopped runs are stepped by :func:`_tail`, with no step counter or
-cycle check.
+:func:`run_prefix` (with a budget of ``t`` steps), the local-search walk
+and flow completion.  A run kept to the vertices that reach a target
+arrives (Dohrau et al.), so a run that never arrives enters the closed
+region ``X`` of the vertices that reach none; :func:`simulate` stops it
+there, from where :func:`_first_repeat` seeks a repeat by Brent's cycle
+detection in O(n) memory.  When one vertex cuts every cycle of the
+non-stop vertices, the stopped run is computed by batched passes that
+fire each vertex's whole token count at once, with a bisection over the
+feedback vertex's departure count, and ``flows.verify`` checks the
+profile before it is trusted.
+
+Otherwise the run goes down the board's strongly connected components
+(:mod:`switchflow.condensation`, found after the ``4n``-step phase), one
+stopped run through each: batched where one vertex cuts that
+component's cycles, and otherwise stepped by :func:`_tail`, with no step
+counter or cycle check.  Deciding arrival walks the same components.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -155,9 +157,14 @@ def _integer(k: int, name: str) -> int:
 
 
 def _departures(n: int, sw: int, evens: Sequence[int] = (), odds: Sequence[int] = ()) -> list[int]:
-    """The slot table of the switch word ``sw`` after ``evens``/``odds`` departures."""
-    nxt = [2 * v + (sw >> v & 1) for v in range(n)] if sw else range(0, 2 * n, 2)
-    return list(map(add, nxt, map(sub, evens, odds))) if evens else list(nxt)
+    """The slot table of the switch word ``sw`` after ``evens``/``odds``
+    departures, in one pass over the vertices and one over ``sw``'s set bits."""
+    slots = range(0, 2 * n, 2)
+    nxt = list(map(add, slots, map(sub, evens, odds)) if evens else slots)
+    while sw:
+        nxt[(sw & -sw).bit_length() - 1] += 1
+        sw &= sw - 1
+    return nxt
 
 
 def _step(
@@ -269,25 +276,26 @@ def _switch_word(counts: Sequence[int]) -> int:
 def decide_arrival(g: SwitchGraph) -> bool:
     """True iff the run from origin reaches the destination ``d``: iff it
     reaches ``d`` before the closed region ``X`` of the vertices that
-    cannot (Dohrau et al.).  After the ``4n`` phase, the run is stopped
-    in ``X`` or at ``d`` or another vertex from which ``X`` is out of reach."""
+    cannot (Dohrau et al.).  After the ``4n`` phase, one reverse search
+    finds ``X``, which answers at once when it is empty or holds the
+    token.  Otherwise the answer is ``condensation.arrives``' walk down
+    the components of the board from the token's, with ``d`` a sink."""
     g = require_valid(g)
-    prefix = _step(g, g.origin, 0, (g.dest,), 4 * g.n)
-    v = prefix[1]
-    if v == g.dest:
+    d = g.dest
+    _, v, evens, odds = _step(g, g.origin, 0, (d,), 4 * g.n)
+    if v == d:
         return True
-    x = _out_of_reach(g, (g.dest,))
+    x = _out_of_reach(g, (d,))
     if not x or v in x:  # every vertex reaches d, or the run is in X
         return not x
-    safe = _out_of_reach(g, x, (g.dest,))  # d, and where no path into X avoids d
-    if v not in safe:  # the phase entered neither region: it is the run's start
-        v = _stopped_run(g, g.origin, 0, x | safe, prefix=prefix).final_vertex
-    return v not in x
+    from . import condensation
+
+    return condensation.arrives(g, v, evens, odds)
 
 
-def _out_of_reach(g: SwitchGraph, targets: Iterable[int], avoid: Container[int] = ()) -> set[int]:
-    """The vertices with no path to ``targets`` that enters no vertex of ``avoid``."""
-    return {v for v, k in enumerate(distances_to(g, targets, avoid)) if k is None}
+def _out_of_reach(g: SwitchGraph, targets: Iterable[int]) -> set[int]:
+    """The vertices with no path to ``targets``."""
+    return {v for v, k in enumerate(distances_to(g, targets)) if k is None}
 
 
 def _stopped_run(
@@ -299,19 +307,27 @@ def _stopped_run(
     without cycle checks: a run toward stops that every vertex reaches
     repeats no state.  The ``4n``-step phase (:func:`_step`), or a
     caller's ``prefix = (steps, vertex, evens, odds)`` of the run, ends
-    short runs; longer ones are batched (:func:`_multirun`) or stepped
-    on by :func:`_tail`, from a slot table built only then."""
+    short runs.  A longer one is batched whole (:func:`_multirun`) when
+    one vertex cuts every cycle of the non-stop vertices, and otherwise
+    goes down the components of the board with the stops as sinks, one
+    stopped run per component (``condensation.run_down``).  The phase's
+    counts are interleaved into slot order only for a profile that is
+    returned or run on."""
     n = g.n
     budget = default_budget(n) if budget is None else budget
     steps, v, evens, odds = prefix or _step(g, start, switches, stops, min(4 * n, budget))
-    profile = slot_order(evens, odds)
     if v not in stops and steps < budget:
-        batched = _multirun(g, stops, start, switches, profile)
+        region = set(range(n)).difference(stops)
+        batched = _multirun(g, region, stops, start, _departures(n, switches), (evens, odds))
         if batched is not None and batched.steps <= budget:
             return batched
-        nxt = _departures(n, switches, evens, odds)
-        more, v = _tail(g.heads(), v, nxt, profile, stops, budget - steps)
+        from . import condensation
+
+        nxt, profile = _departures(n, switches, evens, odds), slot_order(evens, odds)
+        more, v = condensation.run_down(g, v, stops, nxt, profile, budget - steps)
         steps += more
+    else:
+        profile = slot_order(evens, odds)
     verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED
     return RunOutcome(verdict, tuple(profile), steps, v)
 
@@ -333,7 +349,7 @@ def _tail(
     for t in stops:
         if 0 <= t < len(stop):
             stop[t] = True
-    sibling = [s ^ 1 for s in range(len(profile))]
+    sibling = slot_order(range(1, len(profile), 2), range(0, len(profile), 2))
     before = sum(profile)
     for _ in repeat(None, min(budget, sys.maxsize)):
         if stop[v]:
@@ -346,18 +362,21 @@ def _tail(
 
 
 def _multirun(
-    g: SwitchGraph, stops: Collection[int], start: int, switches: int, departed: Sequence[int]
+    g: SwitchGraph, region: set[int], exits: Collection[int], start: int, nxt: Sequence[int],
+    departed: tuple[Sequence[int], Sequence[int]] | None = None,
 ) -> RunOutcome | None:
-    """The run from ``start`` and the switch word ``switches`` to the
-    first of ``stops``, in batched passes, or None when no vertex ``s``
-    leaves the other non-stop vertices acyclic or some vertex reaches no
-    stop.  ``departed``, the slot counts of a prefix of the run (all zero
-    for the empty one), picks ``s`` first and bounds its departures.
+    """The run from ``start`` and the slot table ``nxt`` to the first of
+    ``exits``, the vertices outside ``region`` that its slots enter, in
+    batched passes, or None when no vertex ``s`` leaves the rest of
+    ``region`` acyclic or the run does not leave it.  ``departed``, the
+    even and odd departures per vertex of a prefix of the run, picks
+    ``s`` first and bounds its departures; without it ``s`` is tried
+    from ``start``.
 
-    A pass fires ``s`` ``w`` times, then each other non-stop vertex once
-    in topological order: ``k`` tokens send ``ceil(k/2)`` through the slot
-    the switch points at, ``floor(k/2)`` through the other (Gärtner,
-    Haslebacher, Hoang).  The tokens absorbed at stops rise by at most one
+    A pass fires ``s`` ``w`` times, then each other vertex of ``region``
+    once in topological order: ``k`` tokens send ``ceil(k/2)`` through the
+    slot the switch points at, ``floor(k/2)`` through the other (Gärtner,
+    Haslebacher, Hoang).  The tokens absorbed outside rise by at most one
     per unit of ``w``, so ``a`` of them bound the least absorbing ``w`` by
     ``w - a + 1``; that ``w`` is the run's departure count from ``s``, and
     its pass's slot counts are the run profile, returned only once
@@ -365,14 +384,15 @@ def _multirun(
     from . import flows
 
     n = g.n
-    # the most departed vertex of a prefix is the likeliest to cut every cycle
-    guess = departed.index(max(departed)) >> 1
-    found = _feedback_vertex(g, set(range(n)).difference(stops), guess)
+    # the vertex a prefix departed from most (by its even departures) is
+    # the likeliest to cut every cycle
+    evens, odds = departed or ((), ())
+    found = _feedback_vertex(g, region, evens.index(max(evens)) if departed else start)
     if found is None:
         return None
     s, order = found
     order.insert(0, s)
-    heads, nxt = g.heads(), _departures(n, switches)
+    heads = g.heads()
     passes = [(v, heads[nxt[v]], heads[nxt[v] ^ 1]) for v in order]
 
     def fire(w: int) -> list[int]:
@@ -388,7 +408,7 @@ def _multirun(
     def absorbed(w: int) -> int:  # the tokens fired less those back at s
         return w + (start != s) - (fire(w)[s] - w)
 
-    lo = departed[2 * s] + departed[2 * s + 1] - 1
+    lo = evens[s] + odds[s] - 1 if departed else -1
     hi = lo + 1
     a = absorbed(hi)
     while not a:
@@ -409,14 +429,14 @@ def _multirun(
     for v in order:
         profile[nxt[v]] = tokens[v] - (tokens[v] >> 1)
         profile[nxt[v] ^ 1] = tokens[v] >> 1
-    reached = next(t for t in stops if tokens[t])
+    reached = next(t for t in exits if tokens[t])
     board, counts = g, profile
-    if switches:  # the run from even switches on the board with preset slots swapped
+    if sum(nxt) != n * (n - 1):  # an odd slot is preset: swap each preset vertex's slots
         even, odd = (tuple(heads[si ^ p] for si in nxt) for p in (0, 1))
         board = SwitchGraph(n, even, odd, start, reached)
         counts = [profile[si ^ p] for si in nxt for p in (0, 1)]
     report = flows.verify(board, start, reached, counts)
-    if not report.valid or any(profile[2 * t] or profile[2 * t + 1] for t in stops):
+    if not report.valid or any(profile[2 * t] or profile[2 * t + 1] for t in exits):
         raise AssertionError(
             "batched run profile failed verification: "
             f"{report.conservation_violations} {report.parity_violations}"
@@ -429,9 +449,22 @@ def _feedback_vertex(
 ) -> tuple[int, list[int]] | None:
     """A vertex whose removal leaves ``vertices`` acyclic, with a
     topological order of the rest, or None.  Such a vertex lies on every
-    cycle, so after ``guess`` (if one of ``vertices``) only the vertices
-    of one cycle are tried, unless the rest holds a cycle too, and each
+    cycle, so two disjoint cycles of one or two vertices rule one out at
+    once; after ``guess`` (if one of ``vertices``) only the vertices of
+    one cycle are tried, unless the rest holds a cycle too, and each
     failure narrows them to a cycle that avoids it: O(n) per try."""
+    even, odd = g.even, g.odd
+    short: tuple[int, ...] = ()  # a self-loop (v, v) or a 2-cycle (v, w)
+    for v in vertices:
+        w = even[v]
+        if not ((even[w] == v or odd[w] == v) and w in vertices):
+            w = odd[v]
+            if not ((even[w] == v or odd[w] == v) and w in vertices):
+                continue
+        if not short:
+            short = v, w
+        elif v not in short and w not in short:
+            return None
     if guess not in vertices:
         guess = None
     order, left = _topological_order(g, vertices - {guess})
@@ -458,17 +491,25 @@ def _topological_order(g: SwitchGraph, vertices: set[int]) -> tuple[list[int], s
     ``vertices``, and the set of the others."""
     even, odd = g.even, g.odd
     indegree = dict.fromkeys(vertices, 0)
-    for v in vertices:
-        for w in (even[v], odd[v]):
-            if w in indegree:
-                indegree[w] += 1
+    for v in vertices:  # each slot spelt out: a tuple per vertex costs a quarter more
+        w = even[v]
+        if w in indegree:
+            indegree[w] += 1
+        w = odd[v]
+        if w in indegree:
+            indegree[w] += 1
     order = [v for v in vertices if not indegree[v]]
     for v in order:  # the list grows as it is read
-        for w in (even[v], odd[v]):
-            if w in indegree:
-                indegree[w] -= 1
-                if not indegree[w]:
-                    order.append(w)
+        w = even[v]
+        if w in indegree:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+        w = odd[v]
+        if w in indegree:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
     return order, vertices.difference(order)
 
 
@@ -493,7 +534,9 @@ def replay(
     the trace of an outcome is the replay of its ``steps``."""
     g = require_valid(g)
     v, heads, nxt = _start(g, start, switches), g.heads(), _departures(g.n, switches)
-    for step in range(_integer(steps, "step count")):
+    if _integer(steps, "step count") < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
+    for step in range(steps):
         s = nxt[v]
         nxt[v] = s ^ 1
         yield TraceStep(step, v, s & 1, heads[s])

@@ -66,6 +66,32 @@ def trap_chain(n: int) -> SwitchGraph:
     return graph(n, even, odd, 0, n - 1)
 
 
+def chained(k: int, c: int) -> SwitchGraph:
+    """``c`` copies of ``counter_chain(k)``, each copy's destination being
+    the next copy's origin: ``c * (k - 1) + 1`` vertices, and a run of
+    ``c * (2**k - 2)`` steps.  No single vertex cuts every cycle, but one
+    cuts each copy's."""
+    n = c * (k - 1) + 1
+    even = [v - v % (k - 1) for v in range(n - 1)] + [n - 1]
+    odd = list(range(1, n)) + [n - 1]
+    return graph(n, even, odd, 0, n - 1)
+
+
+def leaky_counter(k: int, falls: bool) -> SwitchGraph:
+    """``counter_chain(k)`` whose top ``k - 2`` detours on its even slot
+    through a vertex ``k - 1`` with one slot back to the counter's first
+    vertex and one into the self-looped trap ``k + 1``, and leaves on its
+    odd slot through ``k``, whose slots both reach the destination
+    ``k + 2``.  The detour's first departure enters the trap when
+    ``falls``; otherwise the top's second departure leaves first, and the
+    run arrives.  The counter and the detour are one component with two
+    exit vertices, ``k`` and the trap."""
+    top, detour, out, trap, d = k - 2, k - 1, k, k + 1, k + 2
+    even = [0] * top + [detour, trap if falls else 0, d, trap, d]
+    odd = list(range(1, top + 1)) + [out, 0 if falls else trap, d, trap, d]
+    return graph(k + 3, even, odd, 0, d)
+
+
 def chain_into_trap(rng: random.Random, g: SwitchGraph, t: int) -> SwitchGraph:
     """A counter or bouncer chain ``g`` plus a closed random region of
     ``t`` vertices, relabelled at random.  The even slot of the vertex

@@ -32,7 +32,7 @@ from switchflow.local_search import (
 from switchflow.flows import check_bounds, verify
 from switchflow.graphs import SwitchGraph
 from switchflow.reduction import AugmentedInstance, augment
-from switchflow.simulate import _multirun, decide_arrival
+from switchflow.simulate import _departures, _multirun, decide_arrival
 from switchflow.suite import prefix_states
 
 from helpers import (
@@ -459,7 +459,8 @@ def test_a_walk_stops_at_the_cap_on_a_cycle_without_terminals():
     h = SwitchGraph(n=6, even=(0, 2, 3, 1, 1, 5), odd=(0, 3, 1, 1, 1, 5), origin=4, dest=0)
     aug = AugmentedInstance(h=h, o_bar=4, d_bar=5, x_d=frozenset(), source_dest=0)
     inst = LocalOptInstance(aug)
-    assert _multirun(h, inst.aug.terminals, h.origin, 0, [0] * (2 * h.n)) is None
+    stops = inst.aug.terminals
+    assert _multirun(h, set(range(h.n)) - stops, stops, h.origin, _departures(h.n, 0)) is None
     solution, steps = _assert_walks_agree(inst, None)
     assert (solution.vertex, steps, max(solution.flow)) == (1, 289, inst.max_entry)
 

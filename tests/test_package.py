@@ -23,18 +23,26 @@ from switchflow.simulate import run
 from helpers import T1, T3
 
 # Per command: what it must leave out of ``sys.modules``.  No command
-# needs ``dataclasses`` (nor ``inspect``, which it would bring in).
+# needs ``dataclasses`` (nor ``inspect``, which it would bring in), and a
+# run that ends in its ``4n`` phase needs no component pass.
 LEFT_OUT = {
     "decide": {
         "dataclasses",
         "inspect",
+        "switchflow.condensation",
         "switchflow.flows",
         "switchflow.reduction",
         "switchflow.local_search",
         "switchflow.suite",
         "switchflow.generate",
     },
-    "solve": {"dataclasses", "inspect", "switchflow.suite", "switchflow.generate"},
+    "solve": {
+        "dataclasses",
+        "inspect",
+        "switchflow.condensation",
+        "switchflow.suite",
+        "switchflow.generate",
+    },
     "verify-flow": {"dataclasses", "inspect", "switchflow.suite", "switchflow.generate"},
 }
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchflow.generate import MODELS, GeneratorSpec, generate
-from switchflow import flows
+from switchflow import condensation, flows
 from switchflow.graphs import graph, reverse_reachable
 from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.reduction import augment
@@ -24,6 +24,7 @@ from switchflow.simulate import (
     TraceStep,
     Verdict,
     _feedback_vertex,
+    _departures,
     _multirun,
     _stopped_run,
     _switch_word,
@@ -44,8 +45,10 @@ from helpers import (
     acceptance_instances,
     bouncer_chain,
     chain_into_trap,
+    chained,
     closure_reachable,
     counter_chain,
+    leaky_counter,
     random_graph,
     random_trap_graph,
     reference_run,
@@ -161,6 +164,21 @@ def test_start_and_targets_must_be_integers():
     # an int target out of range names no vertex and stops nothing
     assert simulate(T3, targets=[3, -1]) == simulate(T3, targets=()) == run(T3, targets=[])
     assert simulate(T3, targets=[1, 3]).steps == 1
+
+
+def test_a_negative_step_count_is_refused():
+    # replaying -1 steps would yield nothing, as if the run had none: like
+    # run_prefix and simulate, replay raises, where its other checks do
+    with pytest.raises(ValueError, match="^step count must be nonnegative, got -1$"):
+        run_prefix(T3, -1)
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        simulate(T3, -1)
+    steps = replay(T3, -1)  # a generator: its checks run at the first step
+    with pytest.raises(ValueError, match="^step count must be nonnegative, got -1$"):
+        next(steps)
+    with pytest.raises(ValueError, match="^switches out of range"):
+        next(replay(T3, -1, switches=8))  # the switch word is checked first
+    assert list(replay(T3, 0)) == []
 
 
 def test_the_phase_and_its_hand_off_match_the_replay():
@@ -497,6 +515,10 @@ def _relabelled(family, n, rng):
     return relabel(family(n), perm), perm
 
 
+def _shuffled(g, rng):
+    return _relabelled(lambda n: g, g.n, rng)[0]
+
+
 def test_chains_match_the_reference_beyond_64_vertices():
     rng = random.Random(20261020)
     for n in (64, 77, 91, 100):
@@ -551,11 +573,16 @@ def _stops(g):
     return set(range(g.n)) - reverse_reachable(g, g.dest) | {g.dest}
 
 
-def _assert_batched_matches_stepping(g):
+def _batched(g):
+    """The batched run from the origin to the first of ``_stops(g)``."""
     stops = _stops(g)
-    batched = _multirun(g, stops, g.origin, 0, [0] * (2 * g.n))
+    return _multirun(g, set(range(g.n)) - stops, stops, g.origin, _departures(g.n, 0))
+
+
+def _assert_batched_matches_stepping(g):
+    batched = _batched(g)
     if batched is not None:
-        assert batched == simulate(g, targets=stops), g
+        assert batched == simulate(g, targets=_stops(g)), g
     return batched
 
 
@@ -591,33 +618,35 @@ def test_batched_run_without_departures_from_the_feedback_vertex():
 
 def test_the_bouncer_has_no_single_feedback_vertex():
     g = bouncer_chain(91)
-    assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)) is None
+    assert _batched(g) is None
     assert decide_arrival(g) is True
 
 
 def test_batched_answers_pass_verify(monkeypatch):
     g = counter_chain(8)
-    assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)).steps == 2 * (1 << 7) - 2
+    assert _batched(g).steps == 2 * (1 << 7) - 2
     rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
     monkeypatch.setattr(flows, "verify", lambda *args: rejected)
     with pytest.raises(AssertionError, match="failed verification"):
-        _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n))
+        _batched(g)
 
 
 def test_verify_gates_hold_without_asserts():
     # ``python -O`` strips assert statements; the gates must still raise.
-    # The trap of trap_chain(64) is in reach, so deciding it runs the
-    # batched pass; running counter_chain(64) does too.
+    # The leaky counter's run leaves a 62-vertex component with two exit
+    # vertices after 2**61 steps, so deciding it runs the batched pass
+    # through that component; running counter_chain(64) batches the board.
     script = textwrap.dedent(
         """
         import sys
         from switchflow import flows
         from switchflow.simulate import decide_arrival, run
-        from helpers import counter_chain, trap_chain
+        from helpers import counter_chain, leaky_counter
 
         rejected = flows.FlowCheckReport((flows.ConservationViolation(0, 0, 1),), ())
         flows.verify = lambda *args: rejected
-        for call in (lambda: decide_arrival(trap_chain(64)), lambda: run(counter_chain(64))):
+        leaky = leaky_counter(62, True)
+        for call in (lambda: decide_arrival(leaky), lambda: run(counter_chain(64))):
             try:
                 print(sys.flags.optimize, call())
             except AssertionError as e:
@@ -641,7 +670,7 @@ def test_decision_of_64_vertex_chains():
         (counter_chain(64), True, (1 << 64) - 2),
         (trap_chain(64), False, (1 << 62) - 1),
     ):
-        assert _multirun(g, _stops(g), g.origin, 0, [0] * (2 * g.n)).steps == steps
+        assert _batched(g).steps == steps
         start = time.perf_counter()
         assert decide_arrival(g) is terminates
         assert time.perf_counter() - start < 1.0
@@ -768,6 +797,7 @@ def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
     runs = alone = 0
     for aug in _augmented_boards():
         h, stops = aug.h, aug.terminals
+        region = set(range(h.n)) - stops
         starts = [(h.origin, 0)] + [(rng.randrange(h.n), rng.getrandbits(h.n)) for _ in range(3)]
         for start, switches in starts:
             expected, trace = reference_run(h, start=start, switches=switches, targets=stops)
@@ -777,7 +807,8 @@ def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
             for step in trace[: rng.randrange(len(trace) + 1)]:
                 departed[2 * step.tail + step.parity] += 1
             for prefix in ([0] * (2 * h.n), departed):
-                outcome = multirun(h, stops, start, switches, prefix)
+                departures = (prefix[0::2], prefix[1::2])
+                outcome = multirun(h, region, stops, start, _departures(h.n, switches), departures)
                 assert outcome in (None, expected), (h, start, switches, prefix)
                 alone += outcome is not None
     assert runs > 16000 and alone >= 10000, alone
@@ -1020,7 +1051,9 @@ def _decision_cases():
     """Generated graphs at n = 2..59, random and trap-funnelled graphs at
     n = 8..100, chains that fall into a trap late, trapped counters, and
     trap chains turned away from the trap, into a counter of ``m``
-    vertices whose last is a destination leading into the trap."""
+    vertices whose last is a destination leading into the trap, and
+    relabelled leaky counters, whose run leaves a component with two
+    exit vertices after the ``4n`` phase."""
     rng = random.Random(20261107)
     graphs = [
         generate(GeneratorSpec(n=n, seed=seed, model=model))
@@ -1045,29 +1078,34 @@ def _decision_cases():
             perm = list(range(c + m))
             rng.shuffle(perm)
             graphs.append(relabel(graph(c + m, even, odd, 0, c + m - 1), perm))
+    for k in range(6, 20):
+        for falls in (False, True):
+            perm = list(range(k + 3))
+            rng.shuffle(perm)
+            graphs.append(relabel(leaky_counter(k, falls), perm))
     return graphs
 
 
 def _spy_on_the_decision(monkeypatch) -> tuple[list, list]:
     """The ``(steps, vertex)`` of each ``4n`` phase, and the vertex each
-    stopped run ends at, as the decision calls them."""
+    stopped run through a component ends at, as the decision calls them."""
     import switchflow.simulate as engine
 
     phases, stopped = [], []
-    step, stopped_run = engine._step, engine._stopped_run
+    step, cross = engine._step, condensation.cross
 
     def phase(*args):
         out = step(*args)
         phases.append(out[:2])
         return out
 
-    def stop(*args, **kwargs):
-        outcome = stopped_run(*args, **kwargs)
-        stopped.append(outcome.final_vertex)
-        return outcome
+    def stop(*args):
+        out = cross(*args)
+        stopped.append(out[1])
+        return out
 
     monkeypatch.setattr(engine, "_step", phase)
-    monkeypatch.setattr(engine, "_stopped_run", stop)
+    monkeypatch.setattr(condensation, "cross", stop)
     return phases, stopped
 
 
@@ -1112,13 +1150,16 @@ def test_decision_agrees_with_the_run_and_the_certificate(monkeypatch):
 def test_decision_searches_once_where_every_vertex_reaches_d(monkeypatch):
     # Where X, the vertices that cannot reach d, is empty, the run arrives:
     # a decision whose phase ends short of d answers after the one reverse
-    # search that finds X empty, with no second search for the safe region.
+    # search that finds X empty, with no component pass for the safe region.
     import switchflow.simulate as engine
 
-    searches = []
-    out_of_reach = engine._out_of_reach
+    searches, passes = [], []
+    out_of_reach, condense = engine._out_of_reach, condensation.condense
     monkeypatch.setattr(
         engine, "_out_of_reach", lambda *args: searches.append(args) or out_of_reach(*args)
+    )
+    monkeypatch.setattr(
+        condensation, "condense", lambda *args: passes.append(args) or condense(*args)
     )
     rng = random.Random(20261022)
     chains = [counter_chain(k) for k in range(5, 14)] + [bouncer_chain(k) for k in (7, 30, 91)]
@@ -1127,11 +1168,11 @@ def test_decision_searches_once_where_every_vertex_reaches_d(monkeypatch):
     for g in chains:
         searches.clear()
         assert decide_arrival(g) is True
-        assert searches == [(g, (g.dest,))], g
-    # a chain that falls into a trap after the phase still takes both
+        assert searches == [(g, (g.dest,))] and not passes, g
+    # a chain that falls into a trap after the phase takes the search and the pass
     searches.clear()
     assert decide_arrival(chain_into_trap(rng, counter_chain(8), 3)) is False
-    assert len(searches) == 2
+    assert len(searches) == 1 and len(passes) == 1
 
 
 def test_decision_of_1024_and_20001_vertex_chains():
@@ -1143,6 +1184,174 @@ def test_decision_of_1024_and_20001_vertex_chains():
         start = time.perf_counter()
         assert decide_arrival(g) is True
         assert time.perf_counter() - start < 0.5, (family, n)
+
+
+# -- the component pass, the decision's walk and stopped runs through components
+
+
+def test_the_component_pass_matches_fixed_points():
+    # Against reachability iterated to a fixed point, sinks having no
+    # slots: two vertices share a component iff each reaches the other, a
+    # component reaches a sink iff its vertices do, and it is safe iff none
+    # of them reaches X, the vertices that reach no sink, by a path that
+    # passes no sink.  Exits lie in lower-numbered components.
+    rng = random.Random(20261201)
+    graphs = [random_graph(rng, n) for n in range(2, 14) for _ in range(30)]
+    graphs += [random_trap_graph(rng, n) for n in range(8, 30) for _ in range(3)]
+    graphs += [generate(GeneratorSpec(n=n, seed=seed, model=model))
+               for n in (12, 20, 33) for seed in range(6) for model in MODELS]
+    graphs += [_shuffled(chained(k, 3), rng) for k in (3, 4, 7)]
+    graphs += [_shuffled(leaky_counter(k, True), rng) for k in (6, 11)]
+    closed = safe_seen = 0
+    for g in graphs:
+        n = g.n
+        if rng.random() < 0.5:
+            sinks = {g.dest}
+        else:
+            sinks = set(rng.sample(range(n), rng.randrange(3)))
+        root = rng.randrange(n)
+        succ = [() if v in sinks else (g.even[v], g.odd[v]) for v in range(n)]
+        reach = [{v} for v in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for v in range(n):
+                for w in succ[v]:
+                    if not reach[w] <= reach[v]:
+                        reach[v] |= reach[w]
+                        changed = True
+        x = {v for v in range(n) if not reach[v] & sinks}
+        exposed = set(x)  # grows to the vertices that reach X past no sink
+        while True:
+            more = {v for v in range(n) if any(w in exposed for w in succ[v])} - exposed
+            if not more:
+                break
+            exposed |= more
+        condensed = condensation.condense(g, root, sinks)
+        component, members, exits, reaches, safe, closed_ones = condensed
+        assert sorted(u for inside in members for u in inside) == sorted(reach[root]), g
+        for v in range(n):
+            c = component[v]
+            if v not in reach[root]:
+                assert c == -1, (g, v)
+                continue
+            assert set(members[c]) == {u for u in reach[v] if v in reach[u]}, (g, v)
+            assert exits[c] == {w for u in members[c] for w in succ[u]} - set(members[c])
+            assert all(component[w] < c for w in exits[c]), (g, v)
+            assert reaches[c] == (v not in x) and safe[c] == (v not in exposed), (g, v)
+            safe_seen += safe[c] and v not in sinks
+        assert closed_ones == [c for c, out in enumerate(exits) if not out and not reaches[c]]
+        closed += len(closed_ones)
+    assert closed >= 100 and safe_seen >= 100, (closed, safe_seen)
+
+
+def _component_cases():
+    """Chained counters (k = 3..11, two and three copies), relabelled
+    chained counters, generated graphs at n = 2..39 (seeds 0..29, both
+    models), chains that fall into a trap, and relabelled leaky counters."""
+    rng = random.Random(20261202)
+    graphs = [chained(k, c) for k in range(3, 12) for c in (2, 3)]
+    graphs += [_shuffled(chained(k, 2), rng) for k in range(3, 12)]
+    graphs += [
+        generate(GeneratorSpec(n=n, seed=seed, model=model))
+        for n in range(2, 40)
+        for seed in range(30)
+        for model in MODELS
+    ]
+    graphs += [chain_into_trap(rng, counter_chain(k), t) for k in range(5, 13) for t in (1, 3, 6)]
+    graphs += [chain_into_trap(rng, bouncer_chain(k), t) for k in range(5, 30, 4) for t in (1, 4)]
+    graphs += [_shuffled(leaky_counter(k, falls), rng) for k in range(6, 14) for falls in (0, 1)]
+    return rng, graphs
+
+
+def test_stopped_runs_through_components_match_the_replay(monkeypatch):
+    # The stopped run from the origin to d or into X, and its first steps
+    # up to a budget inside it, against the visited-state stepping oracle
+    # and the replay's profile.  Where no single vertex cuts every cycle of
+    # the board, the run goes through its components one by one: chained
+    # counters batch each copy, and others step the components they cross.
+    crossed = []
+    cross = condensation.cross
+    monkeypatch.setattr(condensation, "cross", lambda *a: crossed.append(cross(*a)) or crossed[-1])
+    batched_copies = compared = 0
+    rng, graphs = _component_cases()
+    for g in graphs:
+        stops = _stops(g)
+        crossed.clear()
+        expected, trace = reference_run(g, targets=stops)
+        assert _stopped_run(g, g.origin, 0, stops) == expected, g
+        profile = [0] * (2 * g.n)
+        for step in replay(g, expected.steps):
+            profile[2 * step.tail + step.parity] += 1
+        assert tuple(profile) == expected.profile and trace == list(replay(g, expected.steps))
+        batched_copies += sum(steps > 4 * g.n for steps, _ in crossed)
+        for budget in {0, 4 * g.n, rng.randrange(expected.steps + 1), expected.steps - 1}:
+            if budget >= 0:
+                want = reference_run(g, budget, targets=stops)[0]
+                assert _stopped_run(g, g.origin, 0, stops, budget) == want, (g, budget)
+                compared += 1
+        # deciding arrival is asking where this run stops
+        assert decide_arrival(g) is (expected.final_vertex == g.dest), g
+        assert simulate(g, targets=stops) == expected
+    assert compared >= 4000 and batched_copies >= 40, (compared, batched_copies)
+
+
+def test_deciding_trap_chains_runs_nothing(monkeypatch):
+    # The trap chain's counter is a component left only through its top,
+    # a single vertex whose first departure enters the trap: the walk down
+    # the components decides it with no stopped run, at any size.
+    import switchflow.simulate as engine
+
+    runs = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+        return lambda *a, **k: runs.append(name) or original(*a, **k)
+
+    for module, name in (
+        (engine, "_stopped_run"), (engine, "_multirun"), (engine, "_tail"),
+        (condensation, "run_down"), (condensation, "cross"),
+    ):
+        monkeypatch.setattr(module, name, spy(module, name))
+    rng = random.Random(20261203)
+    for n in (*range(4, 40), 64, 100, 128, 256, 512, 1024):
+        g = _relabelled(trap_chain, n, rng)[0]
+        start = time.perf_counter()
+        assert decide_arrival(g) is False
+        assert time.perf_counter() - start < 0.5 and not runs, (n, runs)
+
+
+def test_runs_and_certificates_of_two_chained_64_bit_counters():
+    # 2 * (2**64 - 2) steps; no single vertex cuts both copies' cycles, so
+    # the stopped run batches one copy after the other
+    rng = random.Random(20261204)
+    steps = 2 * ((1 << 64) - 2)
+    for g in (chained(64, 2), _shuffled(chained(64, 2), rng)):
+        start = time.perf_counter()
+        outcome = run(g)
+        certificate = solve_s_arrival(g)
+        state = run_prefix(g, steps)
+        assert time.perf_counter() - start < 1.0
+        assert outcome.verdict is Verdict.TERMINATED and outcome.steps == steps
+        assert certificate.kind == TERMINATION and sum(certificate.flow) == steps + 1
+        assert state == (g.dest, outcome.profile, 0)
+        assert flows.verify(g, g.origin, g.dest, outcome.profile).valid
+
+
+def test_prefixes_past_a_late_fall_into_a_trap():
+    # The trap chain's run enters its self-looped trap at step 2**62 - 1.
+    # A prefix past that batches the counter, takes the top's one step and
+    # steps the closed trap by the tail loop: no vertex there reaches d.
+    g, trap = trap_chain(64), 62
+    entry = (1 << 62) - 1
+    at_entry = run_prefix(g, entry)
+    start = time.perf_counter()
+    state = run_prefix(g, entry + 10**6 + 1)
+    assert time.perf_counter() - start < 1.0
+    profile = list(at_entry.profile)
+    profile[2 * trap : 2 * trap + 2] = 500_001, 500_000
+    assert at_entry.vertex == trap and at_entry.profile[2 * trap : 2 * trap + 2] == (0, 0)
+    assert state == (trap, tuple(profile), at_entry.switches | 1 << trap)
 
 
 # -- prefixes: the stopped run to the destination, with a budget of t steps
