@@ -185,7 +185,8 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
 def distances_to(g: SwitchGraph, target: int | Iterable[int]) -> list[int | None]:
     """Per vertex: the length of a shortest directed path to ``target``,
     or to the nearest of several, by one breadth-first search over the
-    predecessor slots; ``None`` marks the region that can never deliver
+    predecessor vertices, listed in one pass over the slots (once where
+    both share a head); ``None`` marks the region that can never deliver
     the token there."""
     frontier = [target] if isinstance(target, int) else list(target)
     dist: list[int | None] = [None] * g.n
@@ -193,11 +194,14 @@ def distances_to(g: SwitchGraph, target: int | Iterable[int]) -> list[int | None
         if not 0 <= t < g.n:
             raise ValueError(f"target out of range ({t} not in 0..{g.n - 1})")
         dist[t] = 0
-    preds = g.predecessor_slots()
+    preds: list[list[int]] = [[] for _ in dist]
+    for v, a, b in zip(range(g.n), g.even, g.odd):
+        preds[a].append(v)
+        if b != a:
+            preds[b].append(v)
     for w in frontier:  # breadth first: the list grows as it is read
         d = dist[w] + 1  # type: ignore[operator]
-        for si in preds[w]:
-            v = si // 2
+        for v in preds[w]:
             if dist[v] is None:
                 dist[v] = d
                 frontier.append(v)

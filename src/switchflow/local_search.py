@@ -49,6 +49,7 @@ TERMINATION = "termination"
 NON_TERMINATION = "non-termination"
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_INT = frozenset((int,))
 
 
 class WalkError(SolverError):
@@ -86,9 +87,9 @@ class LocalOptInstance:
     """Neighborhood and potential over the states of one augmented board.
 
     Both functions are total and deterministic; anything outside the
-    domain (the designated invalid state, out-of-range vertex ids or
-    entries) behaves like an invalid flow.  Instances are immutable and
-    may be shared by concurrent walkers.
+    domain (the designated invalid state, vertex ids or entries out of
+    range or of a type other than ``int``) behaves like an invalid flow.
+    Instances are immutable and may be shared by concurrent walkers.
     """
 
     def __init__(self, aug: AugmentedInstance):
@@ -109,9 +110,11 @@ class LocalOptInstance:
     def _in_domain(self, state: SearchState) -> bool:
         v, flow = state
         return (
-            0 <= v < self.m
+            type(v) is int  # a bool, like any other type, is no ``int`` here
+            and 0 <= v < self.m
             and len(flow) == 2 * self.m
-            and all(0 <= e <= self.max_entry for e in flow)
+            and _INT.issuperset(map(type, flow))
+            and 0 <= min(flow) and max(flow) <= self.max_entry
         )
 
     def _valid(self, state: SearchState) -> bool:

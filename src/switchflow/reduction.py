@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import SwitchGraph, _Valid, require_valid, reverse_reachable
+from .graphs import SwitchGraph, _Valid, distances_to, require_valid
 
 
 class AugmentedInstance(NamedTuple):
@@ -63,34 +63,21 @@ def _route(h: SwitchGraph, dest: int) -> SwitchGraph:
 
 def augment(g: SwitchGraph) -> AugmentedInstance:
     """Build the augmented board. Deterministic and structure-preserving;
-    the board is a checked graph."""
+    the board is a checked graph.  One reverse search finds ``X``, and
+    only its vertices and ``d`` are rewired."""
     require_valid(g)
-    n, dest = g.n, g.dest
+    n, even, odd, origin, dest, labels = g
     o_bar, d_bar = n, n + 1
-    x_d = frozenset(range(n)) - reverse_reachable(g, dest)
-
-    even = list(g.even) + [g.origin, d_bar]
-    odd = list(g.odd) + [g.origin, d_bar]
+    x = [v for v, k in enumerate(distances_to(g, dest)) if k is None]
+    even, odd = [*even, origin, d_bar], [*odd, origin, d_bar]
     # Case table, applied verbatim even when the origin lies in the
     # unreachable region (the run is then trivially convergent on d_bar).
-    for v in range(n):
-        if v == dest:
-            even[v] = odd[v] = v
-        elif v in x_d:
-            even[v] = odd[v] = d_bar
-    labels = None if g.labels is None else g.labels + ("o_bar", "d_bar")
-
-    h = _Valid(
-        n=n + 2,
-        even=tuple(even),
-        odd=tuple(odd),
-        origin=o_bar,
-        dest=g.dest,
-        labels=labels,
-    )
-    return AugmentedInstance(
-        h=h, o_bar=o_bar, d_bar=d_bar, x_d=x_d, source_dest=g.dest
-    )
+    for v in x:
+        even[v] = odd[v] = d_bar
+    even[dest] = odd[dest] = dest
+    labels = None if labels is None else labels + ("o_bar", "d_bar")
+    h = _Valid(n + 2, tuple(even), tuple(odd), o_bar, dest, labels)
+    return AugmentedInstance(h, o_bar, d_bar, frozenset(x), dest)
 
 
 class DualityReport(NamedTuple):

@@ -380,7 +380,8 @@ def _multirun(
     per unit of ``w``, so ``a`` of them bound the least absorbing ``w`` by
     ``w - a + 1``; that ``w`` is the run's departure count from ``s``, and
     its pass's slot counts are the run profile, returned only once
-    ``flows.verify`` accepts it (with preset switches' slots swapped)."""
+    ``flows.verify`` accepts it on the board of ``region`` and the exits
+    the passes run on."""
     from . import flows
 
     n = g.n
@@ -392,13 +393,20 @@ def _multirun(
         return None
     s, order = found
     order.insert(0, s)
-    heads = g.heads()
-    passes = [(v, heads[nxt[v]], heads[nxt[v] ^ 1]) for v in order]
+    # the passes run on the region alone, numbered in firing order, each
+    # vertex's slots in the order its switch takes them, then the exits
+    vertices = [*order, *exits]
+    index = {v: i for i, v in enumerate(vertices)}
+    heads, m, o = g.heads(), len(vertices), index[start]
+    slots = [nxt[v] ^ p for v in order for p in (0, 1)]
+    exit_ids = range(len(order), m)
+    even, odd = ([*(index[heads[si]] for si in slots[p::2]), *exit_ids] for p in (0, 1))
+    passes = [*zip(range(len(order)), even, odd)]
 
     def fire(w: int) -> list[int]:
-        tokens = [0] * n
-        tokens[start] = 1
-        tokens[s] = w  # the start's token is one of them when s is the start
+        tokens = [0] * m
+        tokens[o] = 1
+        tokens[0] = w  # the start's token is one of them when s is the start
         for v, first, second in passes:
             k = tokens[v]
             tokens[first] += k - (k >> 1)
@@ -406,7 +414,7 @@ def _multirun(
         return tokens
 
     def absorbed(w: int) -> int:  # the tokens fired less those back at s
-        return w + (start != s) - (fire(w)[s] - w)
+        return w + (o != 0) - (fire(w)[0] - w)
 
     lo = evens[s] + odds[s] - 1 if departed else -1
     hi = lo + 1
@@ -424,24 +432,22 @@ def _multirun(
         else:
             lo = mid
     tokens = fire(hi)
-    tokens[s] = hi  # each vertex's count is the tokens it fired
-    profile = [0] * (2 * n)
-    for v in order:
-        profile[nxt[v]] = tokens[v] - (tokens[v] >> 1)
-        profile[nxt[v] ^ 1] = tokens[v] >> 1
-    reached = next(t for t in exits if tokens[t])
-    board, counts = g, profile
-    if sum(nxt) != n * (n - 1):  # an odd slot is preset: swap each preset vertex's slots
-        even, odd = (tuple(heads[si ^ p] for si in nxt) for p in (0, 1))
-        board = SwitchGraph(n, even, odd, start, reached)
-        counts = [profile[si ^ p] for si in nxt for p in (0, 1)]
-    report = flows.verify(board, start, reached, counts)
-    if not report.valid or any(profile[2 * t] or profile[2 * t + 1] for t in exits):
+    tokens[0] = hi  # each vertex's count is the tokens it fired
+    counts: list[int] = []
+    for k in tokens[: len(order)]:
+        counts += k - (k >> 1), k >> 1
+    counts += repeat(0, 2 * len(exit_ids))  # the exits, self-looped, carry no flow
+    r = next(i for i in exit_ids if tokens[i])
+    report = flows.verify(SwitchGraph(m, tuple(even), tuple(odd), o, r), o, r, counts)
+    if not report.valid:
         raise AssertionError(
             "batched run profile failed verification: "
             f"{report.conservation_violations} {report.parity_violations}"
         )
-    return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), reached)
+    profile = [0] * (2 * n)
+    for si, k in zip(slots, counts):
+        profile[si] = k
+    return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), vertices[r])
 
 
 def _feedback_vertex(

@@ -28,7 +28,18 @@ from switchflow.graphs import (
 from switchflow.reduction import augment
 from switchflow.simulate import decide_arrival
 
-from helpers import T1, T2, T3, closure_reachable, random_graph
+from helpers import (
+    T1,
+    T2,
+    T3,
+    bouncer_chain,
+    chained,
+    closure_reachable,
+    counter_chain,
+    random_graph,
+    relabel,
+    trap_chain,
+)
 
 
 @st.composite
@@ -252,23 +263,39 @@ def test_reverse_reachable_matches_closure_oracle(g, target):
     assert reverse_reachable(g, target) == closure_reachable(g, target)
 
 
+def _fixed_point_distances(g, targets) -> list[int | None]:
+    """Per vertex, the fewest steps to the nearest target, by relaxation to
+    a fixed point instead of a breadth-first search."""
+    want: list[int | None] = [0 if v in targets else None for v in range(g.n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            heads = [want[w] for w in (g.even[v], g.odd[v]) if want[w] is not None]
+            if heads and (want[v] is None or min(heads) + 1 < want[v]):
+                want[v], changed = min(heads) + 1, True
+    return want
+
+
 def test_distances_to_a_set_match_a_fixed_point():
-    # per vertex, the fewest steps to the nearest target, by relaxation to a
-    # fixed point instead of a breadth-first search
     rng = random.Random(20261110)
-    for _ in range(300):
-        g = random_graph(rng, rng.randrange(2, 12))
+    boards = [random_graph(rng, rng.randrange(2, 12)) for _ in range(300)]
+    for n in (8, 64, 1024):  # relabelled chains, whose paths are long
+        for family in (counter_chain, trap_chain, bouncer_chain, lambda n: chained(n // 2, 2)):
+            g = family(n)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            boards.append(relabel(g, perm))
+        # most vertices' two slots share a head, and those are listed once
+        even = [rng.randrange(n) for _ in range(n)]
+        odd = [w if rng.random() < 0.8 else rng.randrange(n) for w in even]
+        boards.append(graph(n, even, odd, 0, n - 1))
+    for g in boards:
         targets = rng.sample(range(g.n), rng.randrange(1, min(g.n, 3) + 1))
-        want: list[int | None] = [0 if v in targets else None for v in range(g.n)]
-        changed = True
-        while changed:
-            changed = False
-            for v in range(g.n):
-                heads = [want[w] for w in (g.even[v], g.odd[v]) if want[w] is not None]
-                if heads and (want[v] is None or min(heads) + 1 < want[v]):
-                    want[v], changed = min(heads) + 1, True
+        want = _fixed_point_distances(g, targets)
         assert distances_to(g, targets) == want, (g, targets)
         assert distances_to(g, set(targets)) == want
+        assert distances_to(g, targets[0]) == _fixed_point_distances(g, targets[:1])
     assert distances_to(T1, 1) == distances_to(T1, [1]) == [1, 0]
     with pytest.raises(ValueError, match="target out of range"):
         distances_to(T1, [1, 2])

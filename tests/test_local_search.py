@@ -121,6 +121,28 @@ def test_encode_rejects_out_of_domain_states():
         INST1.encode(INVALID_STATE)
 
 
+@pytest.mark.parametrize(
+    "state, twin",
+    [
+        # half units through the fresh origin's two slots
+        (SearchState(0, (0, 0, 0, 0, 0.5, 0.5, 0, 0)), SearchState(0, (0, 0, 0, 0, 1, 0, 0, 0))),
+        (SearchState(0, (0, 0, 0, 0, None, 0, 0, 0)), SearchState(0, (0, 0, 0, 0, 1, 0, 0, 0))),
+        (SearchState(0, (0, 0, 0, 0, "1", 0, 0, 0)), SearchState(0, (0, 0, 0, 0, 1, 0, 0, 0))),
+        (SearchState(0, (0, 0, 0, 0, True, 0, 0, 0)), SearchState(0, (0, 0, 0, 0, 1, 0, 0, 0))),
+        (SearchState(2.0, (0,) * 8), INST1.reset),
+        (SearchState(True, T1_SOLUTION.flow), T1_SOLUTION),
+    ],
+)
+def test_a_vertex_or_entry_that_is_no_int_lies_outside_the_domain(state, twin):
+    # the same state with ints in place is valid, and a bool is no int here
+    assert INST1.potential(twin) >= 0
+    assert INST1.potential(state) == -1
+    assert INST1.neighbor(state) == INST1.reset
+    assert not INST1.is_local_optimum(state)
+    with pytest.raises(ValueError, match="encodable domain"):
+        INST1.encode(state)
+
+
 @given(t1_states())
 def test_codec_round_trip(state):
     assert INST1.decode(INST1.encode(state)) == state

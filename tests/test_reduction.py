@@ -7,11 +7,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchflow.graphs import graph, require_valid, validate
-from switchflow.reduction import augment, check_duality, sidecar_doc
+from switchflow import reduction, simulate as engine
+from switchflow.graphs import SwitchGraph, graph, require_valid, serialize, validate
+from switchflow.reduction import AugmentedInstance, augment, check_duality, sidecar_doc
 from switchflow.simulate import Verdict, decide_arrival, simulate
 
-from helpers import T1, T2, T3, closure_reachable, random_graph, trapped_counter
+from helpers import (
+    T1,
+    T2,
+    T3,
+    acceptance_instances,
+    closure_reachable,
+    counter_chain,
+    random_graph,
+    random_trap_graph,
+    trap_chain,
+    trapped_counter,
+)
 
 
 @st.composite
@@ -103,6 +115,61 @@ def test_structure_of_the_augmented_board(g):
 def test_unreachable_region_matches_the_closure_oracle(g):
     aug = augment(g)
     assert aug.x_d == frozenset(range(g.n)) - closure_reachable(g, g.dest)
+
+
+def _reference_augment(g):
+    """The augmentation built from the closure oracle's reachable set,
+    vertex by vertex through the case table."""
+    n, x = g.n, frozenset(range(g.n)) - closure_reachable(g, g.dest)
+    even, odd = [], []
+    for v in range(n):
+        w = g.dest if v == g.dest else n + 1 if v in x else None
+        even.append(g.even[v] if w is None else w)
+        odd.append(g.odd[v] if w is None else w)
+    labels = None if g.labels is None else g.labels + ("o_bar", "d_bar")
+    h = graph(n + 2, even + [g.origin, n + 1], odd + [g.origin, n + 1], n, g.dest, labels)
+    return AugmentedInstance(h, n, n + 1, x, g.dest)
+
+
+def test_augment_matches_the_closure_reference():
+    rng = random.Random(20261020)
+    boards = acceptance_instances()
+    # the origin in the unreachable region, with and without labels
+    for _ in range(300):
+        g = random_trap_graph(rng, rng.randrange(6, 14))
+        x = sorted(frozenset(range(g.n)) - closure_reachable(g, g.dest))
+        if x:
+            g = g.with_route(origin=rng.choice(x))
+            boards += [g, g._replace(labels=tuple(f"v{v}" for v in range(g.n)))]
+    assert len(boards) > 2700
+    for g in boards:
+        aug, want = augment(g), _reference_augment(g)
+        assert aug == want, g
+        # so the command line's board and sidecar stay byte for byte
+        assert serialize(aug.h) == serialize(want.h)
+        assert sidecar_doc(aug) == sidecar_doc(want)
+
+
+def test_the_reverse_search_lists_no_predecessor_slots(monkeypatch):
+    from switchflow import graphs
+
+    def unwanted(g):
+        raise AssertionError("predecessor_slots called")
+
+    searches = []
+    distances_to = graphs.distances_to
+    monkeypatch.setattr(SwitchGraph, "predecessor_slots", unwanted)
+    for module in (reduction, engine):
+        monkeypatch.setattr(
+            module, "distances_to", lambda *args: searches.append(args) or distances_to(*args)
+        )
+    # each run outlives its 4n phase, so each entry point searches for X;
+    # the trapped runs end in X, the chains' pass their feedback vertex
+    for g in (trapped_counter(12), trap_chain(12), counter_chain(12), T3):
+        for entry in (augment, decide_arrival, simulate):
+            searches.clear()
+            entry(g)
+            assert len(searches) == 1, (entry.__name__, g)
 
 
 def test_duality_on_the_canonical_graphs():
