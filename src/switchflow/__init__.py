@@ -45,7 +45,6 @@ _EXPORTS = {
         "graph",
         "parse",
         "require_valid",
-        "reverse_reachable",
         "serialize",
         "to_dot",
         "validate",

@@ -36,6 +36,7 @@ from .graphs import (
     _document,
     _dumps,
     _int_field,
+    _integer,
     distances_to,
 )
 
@@ -71,39 +72,41 @@ class FlowCheckReport(NamedTuple):
 def verify(
     g: SwitchGraph, origin: int, dest: int, counts: Sequence[int]
 ) -> FlowCheckReport:
-    """Check both switching-flow conditions, reporting every violation."""
+    """Check both switching-flow conditions, reporting every violation;
+    an entry, ``origin`` or ``dest`` that is no integer raises ValueError."""
     n = g.n
     if len(counts) != 2 * n:
-        raise ValueError(
-            f"flow has {len(counts)} entries, graph has {2 * n} slots"
-        )
-    for name, v in (("origin", origin), ("dest", dest)):
-        if not 0 <= v < n:
-            raise ValueError(f"{name} out of range ({v} not in 0..{n - 1})")
+        raise ValueError(f"flow has {len(counts)} entries, graph has {2 * n} slots")
+    if not (type(origin) is int and type(dest) is int and 0 <= origin < n and 0 <= dest < n):
+        for name, v in (("origin", origin), ("dest", dest)):  # name the first that fails
+            if not 0 <= _integer(v, name) < n:
+                raise ValueError(f"{name} out of range ({v} not in 0..{n - 1})")
 
     even, odd = g.even, g.odd
     inflow = [0] * n
-    for v in range(n):
-        inflow[even[v]] += counts[2 * v]
-        inflow[odd[v]] += counts[2 * v + 1]
-
+    required = [0] * n
+    if origin != dest:
+        required[origin], required[dest] = 1, -1
     conservation = []
     parity = []
-    degenerate = origin == dest
-    for v in range(n):
-        x_even = counts[2 * v]
-        x_odd = counts[2 * v + 1]
-        net = x_even + x_odd - inflow[v]
-        required = 0
-        if not degenerate:
-            if v == origin:
-                required = 1
-            elif v == dest:
-                required = -1
-        if net != required:
-            conservation.append(ConservationViolation(v, net, required))
-        if not 0 <= x_odd <= x_even <= x_odd + 1:
-            parity.append(ParityViolation(v, x_even, x_odd))
+    try:
+        for v in range(n):
+            inflow[even[v]] += counts[2 * v]
+            inflow[odd[v]] += counts[2 * v + 1]
+        for v in range(n):
+            x_even = counts[2 * v]
+            x_odd = counts[2 * v + 1]
+            net = x_even + x_odd - inflow[v]
+            if net != required[v]:
+                conservation.append(ConservationViolation(v, net, required[v]))
+            # 0 <= x_odd <= x_even <= x_odd + 1 by an operator that no float has
+            if (x_even - x_odd) & -2 or x_odd < 0:
+                parity.append(ParityViolation(v, x_even, x_odd))
+    except TypeError:
+        for si, k in enumerate(counts):
+            if not isinstance(k, int):
+                raise ValueError(f"flow entry {si} must be an integer, got {k!r}") from None
+        raise
     return FlowCheckReport(tuple(conservation), tuple(parity))
 
 
@@ -113,9 +116,9 @@ def desperation(g: SwitchGraph, dest: int) -> tuple[int | None, ...]:
     ``None`` marks slots whose head cannot reach the destination at all.
     A value of 0 means the slot points directly at the destination.
     """
-    if not 0 <= dest < g.n:
+    if not 0 <= _integer(dest, "dest") < g.n:
         raise ValueError(f"dest out of range ({dest} not in 0..{g.n - 1})")
-    dist = distances_to(g, dest)
+    dist = distances_to(g, (dest,))
     return tuple(dist[w] for w in g.heads())
 
 
@@ -220,7 +223,7 @@ def check_bounds(
     there are reported as flags, not violations.
     """
     h = aug.h
-    if reached not in (aug.source_dest, aug.d_bar):
+    if _integer(reached, "reached") not in (aug.source_dest, aug.d_bar):
         raise ValueError(f"reached must be one of the terminals, got {reached}")
     if len(counts) != 2 * h.n:
         raise ValueError(f"flow has {len(counts)} entries, board has {2 * h.n} slots")

@@ -82,15 +82,6 @@ class SwitchGraph(NamedTuple):
         """The head of every slot, in slot order."""
         return slot_order(self.even, self.odd)
 
-    def predecessor_slots(self) -> list[list[int]]:
-        """For each vertex, the slot indices whose head it is."""
-        even, odd = self.even, self.odd
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for v in range(self.n):
-            preds[even[v]].append(2 * v + EVEN)
-            preds[odd[v]].append(2 * v + ODD)
-        return preds
-
 
 def slot_order(even: Sequence[int], odd: Sequence[int]) -> list[int]:
     """Per-vertex ``even`` and ``odd`` entries as one list in slot order."""
@@ -182,13 +173,13 @@ def require_valid(g: SwitchGraph) -> SwitchGraph:
     return _Valid(*g)
 
 
-def distances_to(g: SwitchGraph, target: int | Iterable[int]) -> list[int | None]:
-    """Per vertex: the length of a shortest directed path to ``target``,
-    or to the nearest of several, by one breadth-first search over the
-    predecessor vertices, listed in one pass over the slots (once where
-    both share a head); ``None`` marks the region that can never deliver
-    the token there."""
-    frontier = [target] if isinstance(target, int) else list(target)
+def distances_to(g: SwitchGraph, targets: Iterable[int]) -> list[int | None]:
+    """Per vertex: the length of a shortest directed path to the nearest
+    of ``targets``, by one breadth-first search over the predecessor
+    vertices, listed in one pass over the slots (once where both share a
+    head); ``None`` marks the region that can never deliver the token
+    there, which :func:`_out_of_reach` reads."""
+    frontier = list(targets)
     dist: list[int | None] = [None] * g.n
     for t in frontier:
         if not 0 <= t < g.n:
@@ -208,10 +199,17 @@ def distances_to(g: SwitchGraph, target: int | Iterable[int]) -> list[int | None
     return dist
 
 
-def reverse_reachable(g: SwitchGraph, target: int) -> set[int]:
-    """All vertices with a directed path (length >= 0) to ``target``;
-    the target itself is always included (empty path)."""
-    return {v for v, d in enumerate(distances_to(g, target)) if d is not None}
+def _out_of_reach(g: SwitchGraph, targets: Iterable[int]) -> set[int]:
+    """The vertices with no path to ``targets``; for the destination alone,
+    the closed region ``X`` that the decision and the augmentation read."""
+    return {v for v, k in enumerate(distances_to(g, targets)) if k is None}
+
+
+def _integer(k: int, name: str) -> int:
+    """``k``, checked to be an ``int``, which (as in :func:`validate`) no bool is."""
+    if isinstance(k, int) and not isinstance(k, bool):
+        return k
+    raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
 def _int_field(doc: dict, key: str) -> int:

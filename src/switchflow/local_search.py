@@ -41,9 +41,9 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from . import flows as _flows
-from .graphs import SolverError, SwitchGraph
+from .graphs import SolverError, SwitchGraph, _integer
 from .reduction import AugmentedInstance, augment
-from .simulate import _integer, _stopped_run, _switch_word, replay
+from .simulate import _stopped_run, _switch_word, replay
 
 TERMINATION = "termination"
 NON_TERMINATION = "non-termination"
@@ -108,18 +108,23 @@ class LocalOptInstance:
     # field read costs about twice a plain attribute read.
 
     def _in_domain(self, state: SearchState) -> bool:
-        v, flow = state
+        try:  # a state of another shape, or a flow with no length, lies outside
+            v, flow = state
+            size = len(flow)
+        except (TypeError, ValueError):
+            return False
         return (
             type(v) is int  # a bool, like any other type, is no ``int`` here
             and 0 <= v < self.m
-            and len(flow) == 2 * self.m
+            and size == 2 * self.m
             and _INT.issuperset(map(type, flow))
             and 0 <= min(flow) and max(flow) <= self.max_entry
         )
 
     def _valid(self, state: SearchState) -> bool:
-        v, flow = state
-        return self._in_domain(state) and _flows.verify(self.h, self._o_bar, v, flow).valid
+        if not self._in_domain(state):  # else it may not unpack
+            return False
+        return _flows.verify(self.h, self._o_bar, state[0], state[1]).valid
 
     def neighbor(self, state: SearchState) -> SearchState:
         if not self._valid(state):
@@ -135,7 +140,7 @@ class LocalOptInstance:
     def potential(self, state: SearchState) -> int:
         if not self._valid(state):
             return -1
-        return sum(state.flow)
+        return sum(state[1])
 
     def is_local_optimum(self, state: SearchState) -> bool:
         return self.potential(state) >= self.potential(self.neighbor(state))
@@ -192,7 +197,8 @@ def walk_localopt(
 
     Returns the first state whose potential is at least its neighbor's,
     plus the number of neighbor applications taken to reach it; raises
-    :class:`WalkError` when that takes more than ``budget`` of them.
+    :class:`WalkError` when that takes more than ``budget`` of them, and
+    ValueError for a ``budget`` that is no nonnegative integer.
 
     From a valid state the walk is the stopped run to the terminals whose
     switches are the flow's parity imbalances: it ends at the start flow
@@ -200,6 +206,8 @@ def walk_localopt(
     then the run is replayed to the step that would pass it.
     """
     limit = inst.default_budget() if budget is None else _integer(budget, "budget")
+    if limit < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     state = inst.reset if start is None else start
     taken = 0
     if start is not None and inst.potential(state) < 0:  # the reset state is valid

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import SwitchGraph, _Valid, distances_to, require_valid
+from .graphs import SwitchGraph, _Valid, _out_of_reach, require_valid
 
 
 class AugmentedInstance(NamedTuple):
@@ -63,12 +63,12 @@ def _route(h: SwitchGraph, dest: int) -> SwitchGraph:
 
 def augment(g: SwitchGraph) -> AugmentedInstance:
     """Build the augmented board. Deterministic and structure-preserving;
-    the board is a checked graph.  One reverse search finds ``X``, and
-    only its vertices and ``d`` are rewired."""
+    the board is a checked graph.  ``graphs._out_of_reach`` reads ``X``,
+    as for the decision, and only its vertices and ``d`` are rewired."""
     require_valid(g)
     n, even, odd, origin, dest, labels = g
     o_bar, d_bar = n, n + 1
-    x = [v for v, k in enumerate(distances_to(g, dest)) if k is None]
+    x = _out_of_reach(g, (dest,))
     even, odd = [*even, origin, d_bar], [*odd, origin, d_bar]
     # Case table, applied verbatim even when the origin lies in the
     # unreachable region (the run is then trivially convergent on d_bar).

@@ -48,7 +48,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import PARITY_NAMES, SwitchGraph, distances_to, require_valid, slot_order
+from .graphs import PARITY_NAMES, SwitchGraph, _integer, _out_of_reach, require_valid, slot_order
 
 
 class Verdict(str, Enum):
@@ -147,13 +147,6 @@ def _start(g: SwitchGraph, start: int | None, switches: int) -> int:
     if _integer(switches, "switches") >> g.n:  # negative words shift to -1
         raise ValueError(f"switches out of range ({switches} not in 0..2**{g.n} - 1)")
     return start
-
-
-def _integer(k: int, name: str) -> int:
-    """``k``, checked to be an ``int``, which (as in ``graphs.validate``) no bool is."""
-    if isinstance(k, int) and not isinstance(k, bool):
-        return k
-    raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
 def _departures(n: int, sw: int, evens: Sequence[int] = (), odds: Sequence[int] = ()) -> list[int]:
@@ -291,11 +284,6 @@ def decide_arrival(g: SwitchGraph) -> bool:
     from . import condensation
 
     return condensation.arrives(g, v, evens, odds)
-
-
-def _out_of_reach(g: SwitchGraph, targets: Iterable[int]) -> set[int]:
-    """The vertices with no path to ``targets``."""
-    return {v for v, k in enumerate(distances_to(g, targets)) if k is None}
 
 
 def _stopped_run(
@@ -458,7 +446,8 @@ def _feedback_vertex(
     cycle, so two disjoint cycles of one or two vertices rule one out at
     once; after ``guess`` (if one of ``vertices``) only the vertices of
     one cycle are tried, unless the rest holds a cycle too, and each
-    failure narrows them to a cycle that avoids it: O(n) per try."""
+    failure narrows them to a cycle that avoids it, walked within
+    ``vertices``: each try costs their number, not the board's size."""
     even, odd = g.even, g.odd
     short: tuple[int, ...] = ()  # a self-loop (v, v) or a 2-cycle (v, w)
     for v in vertices:
@@ -478,8 +467,7 @@ def _feedback_vertex(
         if guess is not None:
             return guess, order
         return (order[0], order[1:]) if order else None
-    preds = g.predecessor_slots()
-    candidates = _cycle(preds, left)
+    candidates = _cycle(g, left)
     if _topological_order(g, vertices.difference(candidates))[1]:
         return None  # a second cycle, disjoint from the first
     while candidates:
@@ -487,7 +475,7 @@ def _feedback_vertex(
         order, left = _topological_order(g, vertices - {s})
         if not left:
             return s, order
-        on_cycle = set(_cycle(preds, left))
+        on_cycle = set(_cycle(g, left))
         candidates = [v for v in candidates if v in on_cycle]
     return None
 
@@ -519,16 +507,18 @@ def _topological_order(g: SwitchGraph, vertices: set[int]) -> tuple[list[int], s
     return order, vertices.difference(order)
 
 
-def _cycle(preds: list[list[int]], left: set[int]) -> list[int]:
-    """A cycle within ``left``, walked backwards: every vertex Kahn's
-    order leaves over has a predecessor that is left over too."""
+def _cycle(g: SwitchGraph, left: set[int]) -> list[int]:
+    """A cycle within ``left``, walked backwards over a predecessor of
+    each vertex taken from ``left`` alone: every vertex Kahn's order
+    leaves over has a predecessor that is left over too."""
+    pred = {w: v for v in left for w in (g.even[v], g.odd[v]) if w in left}
     v = next(iter(left))
     position: dict[int, int] = {}
     path = []
     while v not in position:
         position[v] = len(path)
         path.append(v)
-        v = next(si // 2 for si in preds[v] if si // 2 in left)
+        v = pred[v]
     return path[position[v]:]
 
 

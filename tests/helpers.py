@@ -143,7 +143,8 @@ def random_trap_graph(rng: random.Random, n: int) -> SwitchGraph:
 
 
 def closure_reachable(g: SwitchGraph, target: int) -> set[int]:
-    """Brute-force oracle for reverse_reachable: iterate a boolean
+    """Brute-force oracle for the vertices that reach ``target``, the
+    complement of ``graphs._out_of_reach``: iterate a boolean
     reachability matrix to its fixed point."""
     reach = [[v == w for w in range(g.n)] for v in range(g.n)]
     changed = True

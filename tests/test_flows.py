@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,29 @@ def test_verify_rejects_malformed_arguments():
         verify(T1, 9, 1, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="dest out of range"):
         verify(T1, 0, -1, (0, 0, 0, 0))
+    # an int, never a bool, as graphs.validate types a vertex
+    for name, origin, dest in (("origin", 0.0, 1), ("dest", 0, 1.0), ("dest", 0, True)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            verify(T1, origin, dest, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # half units conserve flow on T1 and keep odd <= even <= odd + 1
+        (0.5, 0.5, 0, 0),
+        (Fraction(1, 2), Fraction(1, 2), 0, 0),
+        # the only flow on T1, with a float in place of an int
+        (1.0, 0, 0, 0),
+        (1, 0.0, 0, 0),
+        (1, 0, None, 0),
+    ],
+)
+def test_verify_rejects_an_entry_that_is_no_integer(counts):
+    si = next(si for si, k in enumerate(counts) if type(k) is not int)
+    with pytest.raises(ValueError, match=f"^flow entry {si} must be an integer, got "):
+        verify(T1, 0, 1, counts)
+    assert verify(T1, 0, 1, (1, 0, 0, 0)).valid
 
 
 def test_report_doc_shape():
@@ -127,6 +151,10 @@ def test_desperation_on_the_canonical_graphs():
 def test_desperation_rejects_bad_dest():
     with pytest.raises(ValueError, match="dest out of range"):
         desperation(T1, 5)
+    # True read as vertex 1, and 1.0 failed inside the search
+    for dest in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^dest must be an integer, got {dest!r}$"):
+            desperation(T1, dest)
 
 
 @given(switch_graphs(), st.integers(0, 6))
@@ -274,6 +302,10 @@ def test_check_bounds_rejects_malformed_arguments():
         check_bounds(aug, (0,) * 8, 0)
     with pytest.raises(ValueError, match="slots"):
         check_bounds(aug, (0,) * 4, 1)
+    # True was accepted as terminal 1
+    for reached in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^reached must be an integer, got {reached!r}$"):
+            check_bounds(augment(T2), (0,) * 8, reached)
 
 
 def test_bound_report_doc_shape():

@@ -5,13 +5,37 @@ from __future__ import annotations
 import pytest
 
 from switchflow.generate import MODELS, GeneratorSpec, generate, instance_stream
-from switchflow.graphs import validate
+from switchflow.graphs import serialize, validate
 from switchflow.simulate import decide_arrival
 
 
 def test_identical_specs_generate_identical_graphs():
     spec = GeneratorSpec(n=6, seed=42, model="uniform")
     assert generate(spec) == generate(spec)
+
+
+@pytest.mark.parametrize(
+    "n, seed, model, text",
+    [
+        (6, 42, "uniform", '{"n":6,"origin":0,"dest":5,"even":[5,0,0,5,2,1],"odd":[1,1,5,0,5,5]}'),
+        (6, 42, "layered", '{"n":6,"origin":0,"dest":5,"even":[1,3,5,4,5,0],"odd":[2,2,5,5,5,0]}'),
+        (
+            11, 2**64 - 1, "uniform",
+            '{"n":11,"origin":0,"dest":10,"even":[0,3,5,9,3,7,9,1,5,0,3],'
+            '"odd":[8,7,10,1,5,7,4,4,9,0,5]}',
+        ),
+        (
+            11, 2**64 - 1, "layered",
+            '{"n":11,"origin":0,"dest":10,"even":[6,9,8,0,10,6,7,10,10,10,9],'
+            '"odd":[3,5,6,7,2,7,7,10,10,9,4]}',
+        ),
+    ],
+)
+def test_a_spec_generates_the_same_bytes_on_every_python(n, seed, model, text):
+    # the check report's "reproduce: --n --seed --model" line names a
+    # graph by its spec, so the spec must give these bytes on every
+    # supported interpreter
+    assert serialize(generate(GeneratorSpec(n, seed, model))) == text
 
 
 def test_different_seeds_generate_different_graphs():

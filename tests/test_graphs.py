@@ -12,15 +12,13 @@ from hypothesis import given, strategies as st
 from switchflow import graphs
 from switchflow.generate import GeneratorSpec, generate
 from switchflow.graphs import (
-    EVEN,
-    ODD,
     GraphFormatError,
     SwitchGraph,
+    _out_of_reach,
     distances_to,
     graph,
     parse,
     require_valid,
-    reverse_reachable,
     serialize,
     to_dot,
     validate,
@@ -224,43 +222,34 @@ def test_with_route_changes_only_the_route():
     assert g.origin == 1
 
 
-def test_predecessor_slots_invert_heads():
-    for g in (T1, T2, T3):
-        preds = g.predecessor_slots()
-        heads = g.heads()
-        for v in range(g.n):
-            assert 2 * v + EVEN in preds[g.even[v]]
-            assert 2 * v + ODD in preds[g.odd[v]]
-            assert heads[2 * v + EVEN] == g.even[v]
-            assert heads[2 * v + ODD] == g.odd[v]
-        assert sum(len(p) for p in preds) == len(heads) == 2 * g.n
-
-
 def test_reverse_reachable_direct_edge():
-    assert reverse_reachable(T1, 1) == {0, 1}
+    assert _out_of_reach(T1, (1,)) == set()
 
 
 def test_reverse_reachable_closed_pair():
     # Vertices 0 and 1 only point at each other, so nothing but the
     # target itself can reach vertex 2.
-    assert reverse_reachable(T3, 2) == {2}
+    assert _out_of_reach(T3, (2,)) == {0, 1}
 
 
 def test_reverse_reachable_includes_target():
     for g in (T1, T2, T3):
         for t in range(g.n):
-            assert t in reverse_reachable(g, t)
+            assert t not in _out_of_reach(g, (t,))
 
 
 def test_reverse_reachable_rejects_bad_target():
     with pytest.raises(ValueError, match="target out of range"):
-        reverse_reachable(T1, 2)
+        _out_of_reach(T1, (2,))
 
 
-@given(switch_graphs(max_n=5), st.integers(0, 4))
-def test_reverse_reachable_matches_closure_oracle(g, target):
-    target %= g.n
-    assert reverse_reachable(g, target) == closure_reachable(g, target)
+@given(switch_graphs(max_n=5), st.integers(0, 4), st.integers(0, 4))
+def test_reverse_reachable_matches_closure_oracle(g, target, other):
+    target, other = target % g.n, other % g.n
+    everything = set(range(g.n))
+    assert _out_of_reach(g, (target,)) == everything - closure_reachable(g, target)
+    reach = closure_reachable(g, target) | closure_reachable(g, other)
+    assert _out_of_reach(g, (target, other)) == everything - reach
 
 
 def _fixed_point_distances(g, targets) -> list[int | None]:
@@ -295,8 +284,8 @@ def test_distances_to_a_set_match_a_fixed_point():
         want = _fixed_point_distances(g, targets)
         assert distances_to(g, targets) == want, (g, targets)
         assert distances_to(g, set(targets)) == want
-        assert distances_to(g, targets[0]) == _fixed_point_distances(g, targets[:1])
-    assert distances_to(T1, 1) == distances_to(T1, [1]) == [1, 0]
+        assert distances_to(g, targets[:1]) == _fixed_point_distances(g, targets[:1])
+    assert distances_to(T1, (1,)) == distances_to(T1, [1]) == [1, 0]
     with pytest.raises(ValueError, match="target out of range"):
         distances_to(T1, [1, 2])
 

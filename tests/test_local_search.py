@@ -93,6 +93,7 @@ def test_potential_values():
     assert INST1.potential(INST1.reset) == 0
     assert INST1.potential(INST1.neighbor(INST1.reset)) == 1
     assert INST1.potential(T1_SOLUTION) == 2
+    assert INST1.potential(tuple(T1_SOLUTION)) == 2  # a plain pair is a state too
     assert INST1.potential(SearchState(0, (7, 0, 0, 0, 0, 0, 0, 0))) == -1
     assert INST1.potential(INVALID_STATE) == -1
 
@@ -136,6 +137,19 @@ def test_encode_rejects_out_of_domain_states():
 def test_a_vertex_or_entry_that_is_no_int_lies_outside_the_domain(state, twin):
     # the same state with ints in place is valid, and a bool is no int here
     assert INST1.potential(twin) >= 0
+    assert INST1.potential(state) == -1
+    assert INST1.neighbor(state) == INST1.reset
+    assert not INST1.is_local_optimum(state)
+    with pytest.raises(ValueError, match="encodable domain"):
+        INST1.encode(state)
+
+
+@pytest.mark.parametrize(
+    "state", [SearchState(0, None), SearchState(0, 5), (0,), (0, (0,) * 8, 0), 0, None]
+)
+def test_a_state_of_another_shape_lies_outside_the_domain(state):
+    # a state that does not unpack into two fields, or whose flow has no
+    # length, scores like an invalid flow instead of raising
     assert INST1.potential(state) == -1
     assert INST1.neighbor(state) == INST1.reset
     assert not INST1.is_local_optimum(state)
@@ -389,11 +403,14 @@ def _assert_walks_agree(inst, start):
     steps = expected[1]
     _assert_traces_agree(inst, start, steps)
     assert walk_localopt(inst, start, budget=steps) == expected, start
-    for budget in (steps - 1, -1):
+    if steps:
         with pytest.raises(WalkError):
-            reference_walk(inst, start, budget)
+            reference_walk(inst, start, steps - 1)
         with pytest.raises(WalkError):
-            walk_localopt(inst, start, budget)
+            walk_localopt(inst, start, steps - 1)
+    # as simulate, run_prefix and replay reject a negative count
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        walk_localopt(inst, start, -1)
     return expected
 
 

@@ -7,8 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchflow import reduction, simulate as engine
-from switchflow.graphs import SwitchGraph, graph, require_valid, serialize, validate
+from switchflow.graphs import graph, require_valid, serialize, validate
 from switchflow.reduction import AugmentedInstance, augment, check_duality, sidecar_doc
 from switchflow.simulate import Verdict, decide_arrival, simulate
 
@@ -97,7 +96,7 @@ def test_structure_of_the_augmented_board(g):
     require_valid(h)
     # Fresh origin feeds the original origin and nothing feeds it back.
     assert h.even[aug.o_bar] == h.odd[aug.o_bar] == g.origin
-    assert h.predecessor_slots()[aug.o_bar] == []
+    assert aug.o_bar not in h.heads()
     # Both terminals are self-looped sinks.
     for t in (aug.source_dest, aug.d_bar):
         assert h.even[t] == h.odd[t] == t
@@ -151,18 +150,15 @@ def test_augment_matches_the_closure_reference():
 
 
 def test_the_reverse_search_lists_no_predecessor_slots(monkeypatch):
+    # the one reverse search lists the predecessor vertices itself, and
+    # augment, decide_arrival and simulate all read X through it
     from switchflow import graphs
-
-    def unwanted(g):
-        raise AssertionError("predecessor_slots called")
 
     searches = []
     distances_to = graphs.distances_to
-    monkeypatch.setattr(SwitchGraph, "predecessor_slots", unwanted)
-    for module in (reduction, engine):
-        monkeypatch.setattr(
-            module, "distances_to", lambda *args: searches.append(args) or distances_to(*args)
-        )
+    monkeypatch.setattr(
+        graphs, "distances_to", lambda *args: searches.append(args) or distances_to(*args)
+    )
     # each run outlives its 4n phase, so each entry point searches for X;
     # the trapped runs end in X, the chains' pass their feedback vertex
     for g in (trapped_counter(12), trap_chain(12), counter_chain(12), T3):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchflow.generate import MODELS, GeneratorSpec, generate
 from switchflow import condensation, flows
-from switchflow.graphs import graph, reverse_reachable
+from switchflow.graphs import _out_of_reach, graph
 from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.reduction import augment
 from switchflow.simulate import (
@@ -381,7 +381,7 @@ def test_the_cycle_search_starts_where_the_run_enters_x(monkeypatch):
         for make in (random_graph, random_trap_graph) * 12:
             g = make(rng, n)
             targets = set(rng.sample(range(n), rng.randrange(1, 3)))
-            reach = sorted(set().union(*(reverse_reachable(g, t) for t in targets)))
+            reach = sorted(set(range(n)) - _out_of_reach(g, targets))
             kwargs = dict(start=rng.choice(reach), switches=rng.getrandbits(n), targets=targets)
             cases.append((g, rng.choice([{}, kwargs])))  # a random start reaches a target
     searched = in_phase = after_step_0 = 0
@@ -389,7 +389,7 @@ def test_the_cycle_search_starts_where_the_run_enters_x(monkeypatch):
         if simulate(g, budget=1 << 16, **kwargs).verdict is Verdict.BUDGET_EXHAUSTED:
             continue  # the oracle keeps every state
         targets = kwargs.get("targets", {g.dest})
-        x = set(range(g.n)).difference(*(reverse_reachable(g, t) for t in targets))
+        x = _out_of_reach(g, targets)
         entries.clear()
         outcome = simulate(g, **kwargs)
         start, switches = kwargs.get("start"), kwargs.get("switches", 0)
@@ -496,7 +496,7 @@ def test_a_budget_stop_steps_on_at_most_the_budget(monkeypatch):
             continue  # Brent's anchors matched, or the run ended, within the budget
         stopped += 1
         ran = searches[:]  # run_prefix below steps too
-        if run_prefix(g, budget).vertex in reverse_reachable(g, g.dest):
+        if run_prefix(g, budget).vertex not in _out_of_reach(g, (g.dest,)):
             assert ran == [], (g, budget)
             outside += 1
             continue
@@ -570,7 +570,7 @@ def test_decision_stops_at_the_unreachable_region():
 
 
 def _stops(g):
-    return set(range(g.n)) - reverse_reachable(g, g.dest) | {g.dest}
+    return _out_of_reach(g, (g.dest,)) | {g.dest}
 
 
 def _batched(g):
@@ -614,6 +614,27 @@ def test_batched_run_without_departures_from_the_feedback_vertex():
     outcome = _assert_batched_matches_stepping(g)
     assert s != g.origin and outcome.profile[2 * s : 2 * s + 2] == (0, 0)
     assert outcome.steps == 1 and outcome.final_vertex == 3
+
+
+def test_a_feedback_vertex_search_reads_its_region_alone():
+    # one copy of a long chain of counters, guessed at a vertex that cuts
+    # none of its cycles (the base's self-loop avoids it), so the search
+    # walks cycles to narrow its candidates: it reads the slots of the
+    # copy and of their heads alone, not every slot of the board
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, v):
+            reads.append(v)
+            return tuple.__getitem__(self, v)
+
+    g = chained(12, 1000)
+    base = 11 * 500
+    copy = set(range(base, base + 11))
+    heads = {w for v in copy for w in (g.even[v], g.odd[v])}
+    g = g._replace(even=Counted(g.even), odd=Counted(g.odd))
+    assert _feedback_vertex(g, copy, base + 1)[0] == base
+    assert reads and set(reads) <= copy | heads
 
 
 def test_the_bouncer_has_no_single_feedback_vertex():
@@ -1422,7 +1443,7 @@ def test_prefixes_match_the_replay(monkeypatch):
                     run_prefix(g, t)
                 beyond += 1
         else:
-            in_x += v not in reverse_reachable(g, g.dest)
+            in_x += v in _out_of_reach(g, (g.dest,))
     assert len(graphs) >= 1000 and compared >= 14000, (len(graphs), compared)
     assert beyond >= 1400 and in_x >= 300, (beyond, in_x)
     assert sum(outcome is not None for outcome in batched) >= 400
