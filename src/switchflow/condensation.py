@@ -8,8 +8,10 @@ cycle of is a chain of runs through one component each.  One iterative
 Tarjan pass (:func:`condense`) finds the components; a stopped run goes
 down them (:func:`run_down`), and deciding arrival walks them
 (:func:`arrives`), running only through a component with two or more
-exit vertices (:func:`cross`).  :mod:`switchflow.simulate` loads this
-module only for the runs that reach the pass.
+exit vertices (:func:`cross`).  Each run through a component goes on
+from the token's vertex and slot table and adds its departures into the
+caller's profile, batched or stepped alike.  :mod:`switchflow.simulate`
+loads this module only for the runs that reach the pass.
 """
 
 from __future__ import annotations
@@ -21,26 +23,24 @@ from .graphs import SwitchGraph
 
 
 def condense(g: SwitchGraph, root: int, sinks: Container[int]) -> tuple[
-    list[int], list[list[int]], list[set[int]], list[bool], list[bool], list[int]
+    list[int], list[list[int]], list[set[int]], list[bool], list[bool]
 ]:
     """The strongly connected components of the vertices reachable from
     ``root``, with ``sinks`` taken to have no slots, by one iterative
     Tarjan pass (Tarjan, 1972): ``(component, members, exits, reaches,
-    safe, closed)``.  ``component[v]`` numbers ``v``'s component, -1 out
+    safe)``.  ``component[v]`` numbers ``v``'s component, -1 out
     of ``root``'s reach; components are numbered as they close, so the
     vertices a component's slots lead to lie in lower-numbered ones.
     Per component: its ``members``, its ``exits`` (the vertices outside
     it that its slots enter), whether it ``reaches`` a sink, and whether
     it is ``safe``: no path from it enters ``X``, the components that
-    reach none, without passing a sink.  ``closed`` lists ``X``'s
-    components with no exit, where a run that enters them stays."""
+    reach none, without passing a sink."""
     even, odd = g.even, g.odd
     pre, low, component = [0] * g.n, [0] * g.n, [-1] * g.n
     members: list[list[int]] = []
     exits: list[set[int]] = []
     reaches: list[bool] = []
     safe: list[bool] = []
-    closed: list[int] = []
     stack, count = [root], 1
     pre[root] = low[root] = 1
     path = [(root, iter(() if root in sinks else (even[root], odd[root])))]
@@ -78,9 +78,7 @@ def condense(g: SwitchGraph, root: int, sinks: Container[int]) -> tuple[
                 exits.append(out)
                 reaches.append(reach)
                 safe.append(reach and clear)
-                if not (out or reach):
-                    closed.append(c)
-    return component, members, exits, reaches, safe, closed
+    return component, members, exits, reaches, safe
 
 
 def arrives(g: SwitchGraph, v: int, evens: list[int], odds: list[int]) -> bool:
@@ -93,7 +91,7 @@ def arrives(g: SwitchGraph, v: int, evens: list[int], odds: list[int]) -> bool:
     left through it, and a single vertex with no self-loop through its
     switch, with no step taken.  Only the run through a component with
     two or more exit vertices is computed (:func:`cross`)."""
-    component, members, exits, reaches, safe, _ = condense(g, v, (g.dest,))
+    component, members, exits, reaches, safe = condense(g, v, (g.dest,))
     nxt: list[int] = []  # the slot table and profile, built for the first run
     while True:
         c = component[v]
@@ -133,20 +131,15 @@ def cross(
     """The run from vertex ``v`` and slot table ``nxt`` through the
     component ``members`` to the first of its ``exits``, or ``budget``
     steps; its departures are added to ``profile``.  Returns the steps
-    taken and the vertex reached.  Batched (``simulate._multirun``) when one
-    vertex cuts every cycle of the component, and stepped by
-    ``simulate._tail`` otherwise, which also steps ``nxt`` on."""
+    taken and the vertex reached; ``nxt`` is stepped on.  Batched
+    (``simulate._multirun``, tried first at ``v``) when one vertex cuts
+    every cycle of the component and the run ends within the budget, and
+    stepped by ``simulate._tail`` otherwise."""
     if exits and len(members) == 1:  # one step, back to it only by a self-loop
         s = nxt[v]
         profile[s] += 1
         nxt[v] = s ^ 1
         return 1, (g.odd if s & 1 else g.even)[v]
     # a run in a closed component stays there: it is stepped to the budget
-    batched = _sim._multirun(g, set(members), exits, v, nxt) if exits else None
-    if batched is not None and batched.steps <= budget:
-        counts = batched.profile
-        for u in members:
-            profile[2 * u] += counts[2 * u]
-            profile[2 * u + 1] += counts[2 * u + 1]
-        return batched.steps, batched.final_vertex
-    return _sim._tail(g.heads(), v, nxt, profile, exits, budget)
+    batched = exits and _sim._multirun(g, set(members), exits, v, nxt, profile, budget, v)
+    return batched or _sim._tail(g.heads(), v, nxt, profile, exits, budget)

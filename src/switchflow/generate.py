@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .graphs import MODELS, SwitchGraph, _Valid
+from .graphs import MODELS, SwitchGraph, _integer, _Valid
 
 # Probability that a layered-model slot points strictly forward.
 _FORWARD_BIAS = 0.75
@@ -33,12 +33,15 @@ class _Spec(NamedTuple):
 
 
 class GeneratorSpec(_Spec):
-    """Everything an instance is rebuilt from; validated on construction."""
+    """Everything an instance is rebuilt from; validated on construction.
+    ``n`` and ``seed`` are ``int``s, never ``bool``s: another seed would be
+    hashed or drawn from the OS, and the reproduce line prints them."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, seed: int, model: str = "uniform") -> "GeneratorSpec":
-        if n < 2:
+        _integer(seed, "seed")
+        if _integer(n, "n") < 2:
             raise ValueError(f"need at least 2 vertices (origin != dest), got {n}")
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -76,7 +79,9 @@ def instance_stream(n_max: int, count: int, seed: int) -> list[tuple[GeneratorSp
     so a failure reproduces from the instance spec without replaying the
     whole suite.
     """
-    if n_max < 2:
+    _integer(count, "count")
+    _integer(seed, "seed")
+    if _integer(n_max, "n_max") < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     master = random.Random(seed)
     out = []

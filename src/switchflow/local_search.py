@@ -151,8 +151,9 @@ class LocalOptInstance:
         """Vertex index bits (big-endian), then one field per slot in slot order."""
         if not self._in_domain(state):
             raise ValueError(f"state outside the encodable domain: {state}")
-        parts = [format(state.vertex, f"0{self.vertex_bits}b")]
-        parts += [format(e, f"0{self.field_bits}b") for e in state.flow]
+        v, flow = state
+        parts = [format(v, f"0{self.vertex_bits}b")]
+        parts += [format(e, f"0{self.field_bits}b") for e in flow]
         return "".join(parts)
 
     def decode(self, bits: str) -> SearchState:
@@ -245,21 +246,16 @@ def extract_certificate(inst: LocalOptInstance, solution: SearchState) -> Certif
     Any conforming local optimum sits at a terminal with a valid flow;
     anything else falsifies the solution analysis and is rejected.
     """
-    aug = inst.aug
-    if solution.vertex not in (aug.source_dest, aug.d_bar):
-        raise CertificateError(
-            f"non-conforming local optimum: vertex {solution.vertex} "
-            "is not a terminal"
-        )
-    report = _flows.verify(inst.h, aug.o_bar, solution.vertex, solution.flow)
+    aug, (v, flow) = inst.aug, solution
+    if v not in (aug.source_dest, aug.d_bar):
+        raise CertificateError(f"non-conforming local optimum: vertex {v} is not a terminal")
+    report = _flows.verify(inst.h, aug.o_bar, v, flow)
     if not report.valid:
         raise CertificateError(
             "non-conforming local optimum: flow fails verification"
         )
-    kind = TERMINATION if solution.vertex == aug.source_dest else NON_TERMINATION
-    return Certificate(
-        kind=kind, flow=solution.flow, origin=aug.o_bar, dest=solution.vertex
-    )
+    kind = TERMINATION if v == aug.source_dest else NON_TERMINATION
+    return Certificate(kind=kind, flow=flow, origin=aug.o_bar, dest=v)
 
 
 def solve_s_arrival(g: SwitchGraph) -> Certificate:
@@ -285,11 +281,8 @@ def certificate_doc(cert: Certificate) -> dict:
 
 
 def state_doc(inst: LocalOptInstance, state: SearchState) -> dict:
-    return {
-        "vertex": state.vertex,
-        "counts": list(state.flow),
-        "potential": inst.potential(state),
-    }
+    v, flow = state
+    return {"vertex": v, "counts": list(flow), "potential": inst.potential(state)}
 
 
 def walk_trace(inst: LocalOptInstance, start: SearchState, steps: int) -> Iterator[dict]:
@@ -298,8 +291,8 @@ def walk_trace(inst: LocalOptInstance, start: SearchState, steps: int) -> Iterat
     an invalid start is followed by the reset state, and the walk from a
     valid state is the token run whose switches are the flow's parity
     imbalances, each step adding one to a slot and to the potential."""
-    v, flow = start.vertex, list(start.flow)
-    potential = inst.potential(start)
+    v, flow = start
+    flow, potential = list(flow), inst.potential(start)
     yield {"vertex": v, "counts": flow[:], "potential": potential}
     if potential < 0 < steps:
         v, flow, potential, steps = inst.reset.vertex, list(inst.reset.flow), 0, steps - 1

@@ -25,16 +25,20 @@ arrives (Dohrau et al.), so a run that never arrives enters the closed
 region ``X`` of the vertices that reach none; :func:`simulate` stops it
 there, from where :func:`_first_repeat` seeks a repeat by Brent's cycle
 detection in O(n) memory.  When one vertex cuts every cycle of the
-non-stop vertices, the stopped run is computed by batched passes that
+non-stop vertices, the rest of the stopped run, from the token's state
+after the phase, is computed by batched passes (:func:`_multirun`) that
 fire each vertex's whole token count at once, with a bisection over the
-feedback vertex's departure count, and ``flows.verify`` checks the
-profile before it is trusted.
+feedback vertex's departure count, and ``flows.verify`` checks their
+slot counts before they are added to the run's profile.
 
 Otherwise the run goes down the board's strongly connected components
 (:mod:`switchflow.condensation`, found after the ``4n``-step phase), one
-stopped run through each: batched where one vertex cuts that
-component's cycles, and otherwise stepped by :func:`_tail`, with no step
-counter or cycle check.  Deciding arrival walks the same components.
+stopped run through each from the token's state at its entry: batched
+where one vertex cuts that component's cycles, and otherwise stepped by
+:func:`_tail`, with no step counter or cycle check.  Each run past the
+phase, batched or stepped, goes on from a vertex and a slot table and
+adds its departures into the caller's profile.  Deciding arrival walks
+the same components.
 
 Counters are plain Python integers, so profile entries and step counts
 are exact at any magnitude.
@@ -295,27 +299,26 @@ def _stopped_run(
     without cycle checks: a run toward stops that every vertex reaches
     repeats no state.  The ``4n``-step phase (:func:`_step`), or a
     caller's ``prefix = (steps, vertex, evens, odds)`` of the run, ends
-    short runs.  A longer one is batched whole (:func:`_multirun`) when
-    one vertex cuts every cycle of the non-stop vertices, and otherwise
-    goes down the components of the board with the stops as sinks, one
-    stopped run per component (``condensation.run_down``).  The phase's
-    counts are interleaved into slot order only for a profile that is
-    returned or run on."""
+    short runs.  A longer one runs on from the phase's state, in one slot
+    table and profile: batched (:func:`_multirun`) when one vertex cuts
+    every cycle of the non-stop vertices, and otherwise down the
+    components of the board with the stops as sinks, one stopped run per
+    component (``condensation.run_down``)."""
     n = g.n
     budget = default_budget(n) if budget is None else budget
     steps, v, evens, odds = prefix or _step(g, start, switches, stops, min(4 * n, budget))
+    profile = slot_order(evens, odds)
     if v not in stops and steps < budget:
-        region = set(range(n)).difference(stops)
-        batched = _multirun(g, region, stops, start, _departures(n, switches), (evens, odds))
-        if batched is not None and batched.steps <= budget:
-            return batched
-        from . import condensation
+        nxt, region = _departures(n, switches, evens, odds), set(range(n)).difference(stops)
+        # the vertex the phase left most often (by its even departures)
+        # is the likeliest to cut every cycle
+        ran = _multirun(g, region, stops, v, nxt, profile, budget - steps, evens.index(max(evens)))
+        if ran is None:
+            from . import condensation
 
-        nxt, profile = _departures(n, switches, evens, odds), slot_order(evens, odds)
-        more, v = condensation.run_down(g, v, stops, nxt, profile, budget - steps)
+            ran = condensation.run_down(g, v, stops, nxt, profile, budget - steps)
+        more, v = ran
         steps += more
-    else:
-        profile = slot_order(evens, odds)
     verdict = Verdict.TERMINATED if v in stops else Verdict.BUDGET_EXHAUSTED
     return RunOutcome(verdict, tuple(profile), steps, v)
 
@@ -350,33 +353,30 @@ def _tail(
 
 
 def _multirun(
-    g: SwitchGraph, region: set[int], exits: Collection[int], start: int, nxt: Sequence[int],
-    departed: tuple[Sequence[int], Sequence[int]] | None = None,
-) -> RunOutcome | None:
-    """The run from ``start`` and the slot table ``nxt`` to the first of
+    g: SwitchGraph, region: set[int], exits: Collection[int], v: int, nxt: list[int],
+    profile: list[int], budget: int, guess: int,
+) -> tuple[int, int] | None:
+    """The run from vertex ``v`` and slot table ``nxt`` to the first of
     ``exits``, the vertices outside ``region`` that its slots enter, in
-    batched passes, or None when no vertex ``s`` leaves the rest of
-    ``region`` acyclic or the run does not leave it.  ``departed``, the
-    even and odd departures per vertex of a prefix of the run, picks
-    ``s`` first and bounds its departures; without it ``s`` is tried
-    from ``start``.
+    batched passes: as :func:`_tail`, it steps ``nxt`` on, adds its
+    departures to ``profile`` and returns the steps taken and the exit
+    reached.  Returns None, changing neither, when no vertex ``s`` (tried
+    first: ``guess``) leaves the rest of ``region`` acyclic, when the run
+    does not leave ``region``, or when it takes more than ``budget`` steps.
 
     A pass fires ``s`` ``w`` times, then each other vertex of ``region``
     once in topological order: ``k`` tokens send ``ceil(k/2)`` through the
     slot the switch points at, ``floor(k/2)`` through the other (Gärtner,
-    Haslebacher, Hoang).  The tokens absorbed outside rise by at most one
-    per unit of ``w``, so ``a`` of them bound the least absorbing ``w`` by
-    ``w - a + 1``; that ``w`` is the run's departure count from ``s``, and
-    its pass's slot counts are the run profile, returned only once
-    ``flows.verify`` accepts it on the board of ``region`` and the exits
-    the passes run on."""
+    Haslebacher, Hoang).  The least ``w`` whose pass absorbs a token
+    outside is the run's departure count from ``s``, found by doubling
+    from ``s``'s departures in ``profile`` so far, then bisection; the
+    tokens absorbed rise by at most one per unit of ``w``, so ``a`` of
+    them bound it by ``w - a + 1``.  That pass's slot counts are the
+    run's, added only once ``flows.verify`` accepts them on the board of
+    ``region`` and the exits the passes run on."""
     from . import flows
 
-    n = g.n
-    # the vertex a prefix departed from most (by its even departures) is
-    # the likeliest to cut every cycle
-    evens, odds = departed or ((), ())
-    found = _feedback_vertex(g, region, evens.index(max(evens)) if departed else start)
+    found = _feedback_vertex(g, region, guess)
     if found is None:
         return None
     s, order = found
@@ -384,19 +384,20 @@ def _multirun(
     # the passes run on the region alone, numbered in firing order, each
     # vertex's slots in the order its switch takes them, then the exits
     vertices = [*order, *exits]
-    index = {v: i for i, v in enumerate(vertices)}
-    heads, m, o = g.heads(), len(vertices), index[start]
-    slots = [nxt[v] ^ p for v in order for p in (0, 1)]
+    index = {u: i for i, u in enumerate(vertices)}
+    m, o = len(vertices), index[v]
+    slots = [nxt[u] ^ p for u in order for p in (0, 1)]
+    heads = [(g.odd if si & 1 else g.even)[si >> 1] for si in slots]
     exit_ids = range(len(order), m)
-    even, odd = ([*(index[heads[si]] for si in slots[p::2]), *exit_ids] for p in (0, 1))
+    even, odd = ([*(index[w] for w in heads[p::2]), *exit_ids] for p in (0, 1))
     passes = [*zip(range(len(order)), even, odd)]
 
     def fire(w: int) -> list[int]:
         tokens = [0] * m
         tokens[o] = 1
-        tokens[0] = w  # the start's token is one of them when s is the start
-        for v, first, second in passes:
-            k = tokens[v]
+        tokens[0] = w  # the token at v is one of them when v is s
+        for u, first, second in passes:
+            k = tokens[u]
             tokens[first] += k - (k >> 1)
             tokens[second] += k >> 1
         return tokens
@@ -404,11 +405,10 @@ def _multirun(
     def absorbed(w: int) -> int:  # the tokens fired less those back at s
         return w + (o != 0) - (fire(w)[0] - w)
 
-    lo = evens[s] + odds[s] - 1 if departed else -1
-    hi = lo + 1
+    lo, hi = -1, profile[2 * s] + profile[2 * s + 1]
     a = absorbed(hi)
     while not a:
-        if hi >= 8 << n:
+        if hi >= 8 << g.n:
             return None
         lo, hi = hi, 2 * hi + 1
         a = absorbed(hi)
@@ -424,6 +424,9 @@ def _multirun(
     counts: list[int] = []
     for k in tokens[: len(order)]:
         counts += k - (k >> 1), k >> 1
+    steps = sum(counts)
+    if steps > budget:
+        return None
     counts += repeat(0, 2 * len(exit_ids))  # the exits, self-looped, carry no flow
     r = next(i for i in exit_ids if tokens[i])
     report = flows.verify(SwitchGraph(m, tuple(even), tuple(odd), o, r), o, r, counts)
@@ -432,10 +435,11 @@ def _multirun(
             "batched run profile failed verification: "
             f"{report.conservation_violations} {report.parity_violations}"
         )
-    profile = [0] * (2 * n)
     for si, k in zip(slots, counts):
-        profile[si] = k
-    return RunOutcome(Verdict.TERMINATED, tuple(profile), sum(profile), vertices[r])
+        profile[si] += k
+    for u, k in zip(order, tokens):
+        nxt[u] ^= k & 1
+    return steps, vertices[r]
 
 
 def _feedback_vertex(

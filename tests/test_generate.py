@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from switchflow.generate import MODELS, GeneratorSpec, generate, instance_stream
@@ -58,6 +60,17 @@ def test_spec_rejects_bad_arguments():
         GeneratorSpec(n=3, seed=0, model="dense")
     with pytest.raises(ValueError, match="at least 2 vertices"):
         GeneratorSpec(n=3, seed=0)._replace(n=1)
+    # a seed that is no int would be drawn from the OS (None), hashed, or
+    # printed by the reproduce line as no --seed the command line takes
+    for seed in (None, 1.5, "x", True, b"\x01"):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(n=4, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            GeneratorSpec(n=4, seed=0)._replace(seed=seed)
+    for n in (3.0, "3", True, None):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            GeneratorSpec(n=n, seed=0)
 
 
 def test_stream_cycles_sizes_and_models():
@@ -76,6 +89,12 @@ def test_stream_is_reproducible():
 def test_stream_rejects_bad_sizes():
     with pytest.raises(ValueError, match="n_max"):
         instance_stream(1, 5, seed=0)
+    for n_max, count, seed, name in (
+        (4.0, 5, 0, "n_max"), (True, 5, 0, "n_max"), (4, 5.0, 0, "count"), (4, "5", 0, "count"),
+        (4, 5, None, "seed"), (4, 5, 1.5, "seed"), (4, 5, "x", "seed"), (4, 5, True, "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            instance_stream(n_max, count, seed)
 
 
 def test_both_generator_models_yield_both_verdicts():

@@ -32,7 +32,7 @@ from switchflow.local_search import (
 from switchflow.flows import check_bounds, verify
 from switchflow.graphs import SwitchGraph
 from switchflow.reduction import AugmentedInstance, augment
-from switchflow.simulate import _departures, _multirun, decide_arrival
+from switchflow.simulate import _departures, _multirun, decide_arrival, default_budget
 from switchflow.suite import prefix_states
 
 from helpers import (
@@ -155,6 +155,23 @@ def test_a_state_of_another_shape_lies_outside_the_domain(state):
     assert not INST1.is_local_optimum(state)
     with pytest.raises(ValueError, match="encodable domain"):
         INST1.encode(state)
+
+
+@given(t1_states())
+def test_every_reader_takes_a_plain_pair_as_a_state(state):
+    # potential and neighbor score a plain (vertex, flow) pair; the readers
+    # of a state (codec, documents, traces, certificates) take it too
+    pair = tuple(state)
+    assert INST1.encode(pair) == INST1.encode(state)
+    assert hex_encode(INST1, pair) == hex_encode(INST1, state)
+    assert state_doc(INST1, pair) == state_doc(INST1, state)
+    assert list(walk_trace(INST1, pair, 3)) == list(walk_trace(INST1, state, 3))
+    assert extract_certificate(INST1, tuple(T1_SOLUTION)) == extract_certificate(
+        INST1, T1_SOLUTION
+    )
+    if state.vertex not in INST1.aug.terminals:
+        with pytest.raises(CertificateError, match="is not a terminal"):
+            extract_certificate(INST1, pair)
 
 
 @given(t1_states())
@@ -499,7 +516,10 @@ def test_a_walk_stops_at_the_cap_on_a_cycle_without_terminals():
     aug = AugmentedInstance(h=h, o_bar=4, d_bar=5, x_d=frozenset(), source_dest=0)
     inst = LocalOptInstance(aug)
     stops = inst.aug.terminals
-    assert _multirun(h, set(range(h.n)) - stops, stops, h.origin, _departures(h.n, 0)) is None
+    nxt, profile = _departures(h.n, 0), [0] * (2 * h.n)
+    region, budget = set(range(h.n)) - stops, default_budget(h.n)
+    assert _multirun(h, region, stops, h.origin, nxt, profile, budget, h.origin) is None
+    assert nxt == _departures(h.n, 0) and not any(profile)
     solution, steps = _assert_walks_agree(inst, None)
     assert (solution.vertex, steps, max(solution.flow)) == (1, 289, inst.max_entry)
 

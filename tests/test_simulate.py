@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchflow.generate import MODELS, GeneratorSpec, generate
 from switchflow import condensation, flows
-from switchflow.graphs import _out_of_reach, graph
+from switchflow.graphs import SwitchGraph, _out_of_reach, graph
 from switchflow.local_search import TERMINATION, solve_s_arrival
 from switchflow.reduction import augment
 from switchflow.simulate import (
@@ -574,9 +574,17 @@ def _stops(g):
 
 
 def _batched(g):
-    """The batched run from the origin to the first of ``_stops(g)``."""
-    stops = _stops(g)
-    return _multirun(g, set(range(g.n)) - stops, stops, g.origin, _departures(g.n, 0))
+    """The batched run from the origin to the first of ``_stops(g)``, as
+    an outcome, or None, where it leaves its profile as it was."""
+    stops, profile = _stops(g), [0] * (2 * g.n)
+    ran = _multirun(
+        g, set(range(g.n)) - stops, stops, g.origin, _departures(g.n, 0), profile,
+        default_budget(g.n), g.origin,
+    )
+    if ran is None:
+        assert not any(profile), g
+        return None
+    return RunOutcome(Verdict.TERMINATED, tuple(profile), *ran)
 
 
 def _assert_batched_matches_stepping(g):
@@ -635,6 +643,23 @@ def test_a_feedback_vertex_search_reads_its_region_alone():
     g = g._replace(even=Counted(g.even), odd=Counted(g.odd))
     assert _feedback_vertex(g, copy, base + 1)[0] == base
     assert reads and set(reads) <= copy | heads
+
+
+def test_batched_components_build_no_slot_table_of_the_board(monkeypatch):
+    # chained(12, 1000) has 11,001 vertices: the 4n phase (44,004 steps)
+    # runs its first ten copies (4,094 steps each), and the run goes on
+    # down the other 990, each cut by one vertex and batched from the
+    # token's state at its entry on its own slots: no pass builds the
+    # board's heads
+    heads, multirun = SwitchGraph.heads, condensation._sim._multirun
+    built, batched = [], []
+    monkeypatch.setattr(SwitchGraph, "heads", lambda self: built.append(self) or heads(self))
+    monkeypatch.setattr(
+        condensation._sim, "_multirun", lambda *a: batched.append(multirun(*a)) or batched[-1]
+    )
+    outcome = run(chained(12, 1000))
+    assert outcome.verdict is Verdict.TERMINATED and outcome.steps == 1000 * (2**12 - 2)
+    assert sum(ran is not None for ran in batched) == 990 and not built
 
 
 def test_the_bouncer_has_no_single_feedback_vertex():
@@ -806,7 +831,8 @@ def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
     # the reset run and three runs from a random start and switch word per
     # board, each stepped to the terminals by the visited-state oracle; the
     # batched pass is also run on its own, from the start and from the
-    # departures of a random prefix of the run
+    # state (vertex, slot table, profile) after a random prefix of the run,
+    # against the rest of the oracle's run
     import switchflow.simulate as engine
 
     batched = []
@@ -824,14 +850,23 @@ def test_stopped_runs_match_stepping_on_augmented_boards(monkeypatch):
             expected, trace = reference_run(h, start=start, switches=switches, targets=stops)
             assert _stopped_run(h, start, switches, stops) == expected, (h, start, switches)
             runs += 1
-            departed = [0] * (2 * h.n)
-            for step in trace[: rng.randrange(len(trace) + 1)]:
-                departed[2 * step.tail + step.parity] += 1
-            for prefix in ([0] * (2 * h.n), departed):
-                departures = (prefix[0::2], prefix[1::2])
-                outcome = multirun(h, region, stops, start, _departures(h.n, switches), departures)
-                assert outcome in (None, expected), (h, start, switches, prefix)
-                alone += outcome is not None
+            for taken in (0, rng.randrange(len(trace) + 1)):
+                v, profile = start, [0] * (2 * h.n)
+                for step in trace[:taken]:
+                    profile[2 * step.tail + step.parity] += 1
+                    v = step.head
+                before, evens = profile[:], profile[0::2]
+                nxt = _departures(h.n, switches, evens, profile[1::2])
+                nxt_before = nxt[:]
+                guess = evens.index(max(evens)) if taken else v
+                ran = multirun(h, region, stops, v, nxt, profile, default_budget(h.n), guess)
+                if ran is None:
+                    assert profile == before and nxt == nxt_before, (h, start, switches, taken)
+                    continue
+                assert ran == (expected.steps - taken, expected.final_vertex), (h, start, taken)
+                assert tuple(profile) == expected.profile, (h, start, switches, taken)
+                assert nxt == _departures(h.n, switches, profile[0::2], profile[1::2])
+                alone += 1
     assert runs > 16000 and alone >= 10000, alone
     assert sum(outcome is not None for outcome in batched) >= 50
 
@@ -1248,8 +1283,7 @@ def test_the_component_pass_matches_fixed_points():
             if not more:
                 break
             exposed |= more
-        condensed = condensation.condense(g, root, sinks)
-        component, members, exits, reaches, safe, closed_ones = condensed
+        component, members, exits, reaches, safe = condensation.condense(g, root, sinks)
         assert sorted(u for inside in members for u in inside) == sorted(reach[root]), g
         for v in range(n):
             c = component[v]
@@ -1261,8 +1295,8 @@ def test_the_component_pass_matches_fixed_points():
             assert all(component[w] < c for w in exits[c]), (g, v)
             assert reaches[c] == (v not in x) and safe[c] == (v not in exposed), (g, v)
             safe_seen += safe[c] and v not in sinks
-        assert closed_ones == [c for c, out in enumerate(exits) if not out and not reaches[c]]
-        closed += len(closed_ones)
+        # X's closed components, where a run that enters them stays
+        closed += sum(not out and not reaches[c] for c, out in enumerate(exits))
     assert closed >= 100 and safe_seen >= 100, (closed, safe_seen)
 
 
@@ -1407,11 +1441,20 @@ def test_prefixes_match_the_replay(monkeypatch):
     # is compared up to its first repeat or its first 5000 steps.
     import switchflow.simulate as engine
 
-    batched = []
+    computed = []
     multirun = engine._multirun
-    monkeypatch.setattr(
-        engine, "_multirun", lambda *a: batched.append(multirun(*a)) or batched[-1]
-    )
+
+    def spy(g, region, exits, v, nxt, profile, budget, guess):
+        # a pass whose run ends past the budget returns None and changes
+        # nothing, so it counts as computed where it returns the run's end
+        # with no budget, from copies of the state
+        ran = multirun(g, region, exits, v, nxt, profile, budget, guess)
+        computed.append(ran is not None or multirun(
+            g, region, exits, v, nxt[:], profile[:], default_budget(g.n), guess
+        ) is not None)
+        return ran
+
+    monkeypatch.setattr(engine, "_multirun", spy)
     rng, graphs = _prefix_cases()
     compared = beyond = in_x = 0
     for g in graphs:
@@ -1446,7 +1489,7 @@ def test_prefixes_match_the_replay(monkeypatch):
             in_x += v in _out_of_reach(g, (g.dest,))
     assert len(graphs) >= 1000 and compared >= 14000, (len(graphs), compared)
     assert beyond >= 1400 and in_x >= 300, (beyond, in_x)
-    assert sum(outcome is not None for outcome in batched) >= 400
+    assert sum(computed) >= 400
 
 
 def test_prefixes_of_the_64_vertex_counter_chain():
