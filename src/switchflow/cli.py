@@ -115,10 +115,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_flow(args: argparse.Namespace) -> int:
-    from .flows import report_doc, verify
+    from .flows import TERMINATION, parse_certificate, report_doc, verify
 
     g = _load_graph(args)
-    origin, dest, counts = _load_flow(args)
+    origin, dest, counts, kind = parse_certificate(_read_text(args.flow))
+    if kind is not None and (kind == TERMINATION) != (dest == g.dest):
+        ends = "ends" if kind == TERMINATION else "does not end"
+        raise ValueError(
+            f"$.kind: a {kind} flow {ends} at the board's destination {g.dest}, found dest {dest}"
+        )
     report = verify(g, origin, dest, counts)
     _write_output(args, _dumps(report_doc(report)))
     return 0 if report.valid else 1
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-flow",
         parents=[withflow],
-        help="check the switching-flow conditions; exit 0 iff valid",
+        help="check the switching-flow conditions and a certificate's kind; exit 0 iff valid",
     )
     p.set_defaults(func=cmd_verify_flow)
 

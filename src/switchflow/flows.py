@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .graphs import (
+    GraphFormatError,
     SolverError,
     SwitchGraph,
     _array,
@@ -42,6 +43,12 @@ from .graphs import (
 
 if TYPE_CHECKING:
     from .reduction import AugmentedInstance
+
+# A certificate's witness kind: its flow drains into the board's
+# destination, or into the fresh sink of a run that never arrives.
+TERMINATION = "termination"
+NON_TERMINATION = "non-termination"
+KINDS = (TERMINATION, NON_TERMINATION)
 
 
 class CompletionError(SolverError):
@@ -262,10 +269,21 @@ def check_bounds(
     return BoundReport(tuple(violations), tuple(flags))
 
 
+def parse_certificate(text: str) -> tuple[int, int, tuple[int, ...], str | None]:
+    """Parse the flow JSON document ``{"origin", "dest", "counts"}`` with
+    an optional ``kind``, as ``solve`` prints it: ``termination`` or
+    ``non-termination``, and None when the document has none."""
+    doc = _document(text, ("origin", "dest", "counts"), ("kind",))
+    kind = doc.get("kind")
+    if "kind" in doc and kind not in KINDS:
+        raise GraphFormatError(f"$.kind: expected one of {KINDS}, found {kind!r}")
+    return _int_field(doc, "origin"), _int_field(doc, "dest"), _array(doc, "counts"), kind
+
+
 def parse_flow(text: str) -> tuple[int, int, tuple[int, ...]]:
-    """Parse the flow JSON document ``{"origin", "dest", "counts"}``."""
-    doc = _document(text, ("origin", "dest", "counts"))
-    return _int_field(doc, "origin"), _int_field(doc, "dest"), _array(doc, "counts")
+    """Parse the flow JSON document ``{"origin", "dest", "counts"}``; a
+    ``kind``, when present, is checked and dropped."""
+    return parse_certificate(text)[:3]
 
 
 def serialize_flow(origin: int, dest: int, counts: Sequence[int]) -> str:

@@ -3,6 +3,9 @@
 Instances come from a named, platform-independent PRNG (Python's
 Mersenne Twister with an explicit integer seed), so any instance ever
 reported by the checking suites can be rebuilt from its spec alone.
+A spec's bytes depend only on the ``getrandbits`` and ``random()``
+streams of ``random.Random(seed)``: each successor is drawn by the
+rejection sampler that ``randrange`` uses underneath, called directly.
 
 Two models:
 
@@ -18,6 +21,7 @@ By convention the origin is vertex 0 and the destination is ``n - 1``.
 from __future__ import annotations
 
 import random
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .graphs import MODELS, SwitchGraph, _integer, _Valid
@@ -56,20 +60,43 @@ class GeneratorSpec(_Spec):
 def generate(spec: GeneratorSpec) -> SwitchGraph:
     """Deterministic: the same spec always yields a byte-identical graph.
 
+    The bytes depend only on the ``getrandbits`` and ``random()`` streams
+    of ``random.Random(spec.seed)``.  A successor below ``w`` is
+    ``getrandbits(w.bit_length())``, drawn again while it is ``>= w``:
+    ``randrange``'s own sampler, so the mapping from spec to graph is the
+    one ``randrange`` gave, without its per-call argument handling.
+    Every even successor is drawn before the first odd one.
+
     The graph is checked by construction: the spec has ``n >= 2``, every
     successor is drawn from ``0 .. n-1``, and the origin 0 is not the
     destination ``n - 1``."""
     rng = random.Random(spec.seed)
     n = spec.n
-    even = []
-    odd = []
-    for succ in (even, odd):
-        for v in range(n):
-            if spec.model == "layered" and v < n - 1 and rng.random() < _FORWARD_BIAS:
-                succ.append(rng.randrange(v + 1, n))
-            else:
-                succ.append(rng.randrange(n))
-    return _Valid(n=n, even=tuple(even), odd=tuple(odd), origin=0, dest=n - 1)
+    if spec.model == "layered":
+        even, odd = _layered(rng, n), _layered(rng, n)
+    else:
+        draws = filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+        even, odd = tuple(islice(draws, n)), tuple(islice(draws, n))
+    return _Valid(n=n, even=even, odd=odd, origin=0, dest=n - 1)
+
+
+def _layered(rng: random.Random, n: int) -> tuple[int, ...]:
+    """One slot's successors under the layered model: a vertex short of
+    the destination draws ``random()`` and, below the bias, a successor
+    strictly above it; otherwise the successor is drawn over all ``n``."""
+    chance, getrandbits = rng.random, rng.getrandbits
+    succ = []
+    for v in range(n):
+        if v < n - 1 and chance() < _FORWARD_BIAS:
+            low, w = v + 1, n - 1 - v
+        else:
+            low, w = 0, n
+        k = w.bit_length()
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        succ.append(low + r)
+    return tuple(succ)
 
 
 def instance_stream(n_max: int, count: int, seed: int) -> list[tuple[GeneratorSpec, SwitchGraph]]:

@@ -41,12 +41,10 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from . import flows as _flows
+from .flows import NON_TERMINATION, TERMINATION
 from .graphs import SolverError, SwitchGraph, _integer
 from .reduction import AugmentedInstance, augment
 from .simulate import _stopped_run, _switch_word, replay
-
-TERMINATION = "termination"
-NON_TERMINATION = "non-termination"
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _INT = frozenset((int,))

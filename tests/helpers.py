@@ -128,6 +128,23 @@ def random_graph(rng: random.Random, n: int) -> SwitchGraph:
     )
 
 
+def reference_generate(spec) -> SwitchGraph:
+    """Generator oracle: the ``randrange`` loop that ``generate`` once
+    ran, one call per successor, every even successor before the first
+    odd one.  A layered slot short of the destination points strictly
+    forward when ``random()`` falls below 0.75."""
+    rng = random.Random(spec.seed)
+    n = spec.n
+    even, odd = [], []
+    for succ in (even, odd):
+        for v in range(n):
+            if spec.model == "layered" and v < n - 1 and rng.random() < 0.75:
+                succ.append(rng.randrange(v + 1, n))
+            else:
+                succ.append(rng.randrange(n))
+    return graph(n, even, odd, 0, n - 1)
+
+
 def random_trap_graph(rng: random.Random, n: int) -> SwitchGraph:
     """Random successors around a closed trap of one to six vertices: the
     trap's slots stay inside it, and each other slot enters it with

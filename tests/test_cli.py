@@ -176,6 +176,63 @@ def test_solve_certifies_a_64_vertex_counter_for_verify_flow(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+def _solve_and_reduce(capsys, tmp_path, g):
+    """Write the certificate ``solve`` prints and the board ``reduce``
+    prints for ``g``; return their paths and the certificate."""
+    graph_path, board_path, cert_path = (tmp_path / name for name in ("g", "board", "cert"))
+    graph_path.write_text(serialize(g))
+    code, out, _ = run_cli(capsys, "solve", "--input", str(graph_path))
+    assert code == 0
+    cert_path.write_text(out)
+    code, board, _ = run_cli(capsys, "reduce", "--input", str(graph_path))
+    assert code == 0
+    board_path.write_text(board.splitlines()[0])
+    return str(board_path), str(cert_path), json.loads(out)
+
+
+@pytest.mark.parametrize("g, kind", [
+    (T1, "termination"), (counter_chain(64), "termination"), (T3, "non-termination"),
+])
+def test_verify_flow_accepts_what_solve_prints(capsys, tmp_path, g, kind):
+    board, cert, doc = _solve_and_reduce(capsys, tmp_path, g)
+    assert doc["kind"] == kind
+    code, out, err = run_cli(capsys, "verify-flow", "--input", board, "--flow", cert)
+    assert (code, err) == (0, "")
+    # the report is the one the same flow without its kind gets
+    flow = tmp_path / "flow"
+    flow.write_text(json.dumps({k: doc[k] for k in ("origin", "dest", "counts")}))
+    assert run_cli(capsys, "verify-flow", "--input", board, "--flow", str(flow)) == (0, out, "")
+    assert json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("g", [T1, T3])
+def test_verify_flow_rejects_a_certificate_of_the_wrong_kind(capsys, tmp_path, g):
+    board, cert, doc = _solve_and_reduce(capsys, tmp_path, g)
+    doc["kind"] = "non-termination" if doc["kind"] == "termination" else "termination"
+    wrong = tmp_path / "wrong"
+    wrong.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify-flow", "--input", board, "--flow", str(wrong))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: $.kind: a {doc['kind']} flow ") and "found dest" in err
+    for kind in ("Termination", None, 1, ["termination"]):
+        wrong.write_text(json.dumps({**doc, "kind": kind}))
+        code, out, err = run_cli(capsys, "verify-flow", "--input", board, "--flow", str(wrong))
+        assert (code, out) == (1, ""), kind
+        assert err.startswith("error: $.kind: expected one of"), kind
+
+
+@pytest.mark.parametrize("g", [T1, counter_chain(64), T3])
+def test_verify_flow_rejects_a_certificate_one_unit_off(capsys, tmp_path, g):
+    board, cert, doc = _solve_and_reduce(capsys, tmp_path, g)
+    # the fresh origin's even slot: a bumped self-loop could stay a
+    # switching flow, but the origin must send exactly one unit
+    doc["counts"][2 * doc["origin"]] += 1
+    changed = tmp_path / "changed"
+    changed.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify-flow", "--input", board, "--flow", str(changed))
+    assert code == 1 and json.loads(out)["valid"] is False
+
+
 def test_simulate_answers_a_64_vertex_counter(capsys, tmp_path):
     path = tmp_path / "counter64.json"
     path.write_text(serialize(counter_chain(64)))

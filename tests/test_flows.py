@@ -18,6 +18,7 @@ from switchflow.flows import (
     check_bounds,
     complete,
     desperation,
+    parse_certificate,
     parse_flow,
     report_doc,
     serialize_flow,
@@ -359,6 +360,18 @@ def test_flow_document_round_trip():
 @given(st.integers(), st.integers(), st.lists(st.integers()))
 def test_flow_document_round_trip_property(origin, dest, counts):
     assert parse_flow(serialize_flow(origin, dest, counts)) == (origin, dest, tuple(counts))
+
+
+def test_flow_documents_may_name_their_kind():
+    text = '{"origin":2,"dest":1,"counts":[1,0,0,0,1,0,0,0],"kind":"%s"}'
+    for kind in ("termination", "non-termination"):
+        assert parse_flow(text % kind) == (2, 1, (1, 0, 0, 0, 1, 0, 0, 0))
+        assert parse_certificate(text % kind) == (2, 1, (1, 0, 0, 0, 1, 0, 0, 0), kind)
+    assert parse_certificate(serialize_flow(2, 1, [0, 1])) == (2, 1, (0, 1), None)
+    for kind in ('"Termination"', '""', "null", "1", "true", '["termination"]'):
+        bad = '{"origin":0,"dest":1,"counts":[],"kind":%s}' % kind
+        with pytest.raises(GraphFormatError, match=r"^\$\.kind: expected one of"):
+            parse_flow(bad)
 
 
 def test_parse_flow_rejects_duplicate_fields():
